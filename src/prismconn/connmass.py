@@ -26,9 +26,8 @@ from .linkmodels import (
     Mimo,
     PathLossParams,
     SimoMiso,
-    Siso,
-    UnitDisk,
     pair_connectedness,
+    support_radius,
 )
 
 __all__ = [
@@ -94,24 +93,6 @@ def mass_mimo_n2_specialization(params: PathLossParams) -> float:
     )
 
 
-def _diversity_index(model: ConnectionModel) -> int:
-    if isinstance(model, Siso):
-        return 1
-    if isinstance(model, SimoMiso):
-        return model.m
-    if isinstance(model, Mimo):
-        return model.n
-    return 1
-
-
-def _cutoff_radius(model: ConnectionModel) -> float:
-    # The integrand decays exponentially beyond the transition radius; this
-    # cutoff leaves a tail below 1e-16 of the integral for every model.
-    p = model.params
-    k = _diversity_index(model)
-    return 2.0 * (k / p.beta + 40.0 / p.beta) ** (1.0 / p.eta)
-
-
 def _quad(
     f: Callable[[float], float],
     lo: float,
@@ -134,14 +115,11 @@ def _quad(
 def mass_quadrature(model: ConnectionModel) -> MassResult:
     """M' by adaptive quadrature of the defining radial integral."""
     d = model.params.dim
-    if isinstance(model, UnitDisk):
-        value, abs_err = _quad(lambda r: r ** (d - 1), 0.0, model.radius)
-        return MassResult(value, "quadrature", abs_err)
-    transition = (_diversity_index(model) / model.params.beta) ** (1.0 / model.params.eta)
+    transition = (model.diversity / model.params.beta) ** (1.0 / model.params.eta)
     value, abs_err = _quad(
         lambda r: r ** (d - 1) * pair_connectedness(model, r),
         0.0,
-        _cutoff_radius(model),
+        support_radius(model),
         breakpoints=(transition,),
     )
     return MassResult(value, "quadrature", abs_err)
@@ -155,7 +133,7 @@ def mass_scaling_leading(model: ConnectionModel) -> float:
         )
     p = model.params
     nu = p.dim / p.eta
-    return _diversity_index(model) ** nu / (p.beta**nu * p.dim)
+    return model.diversity**nu / (p.beta**nu * p.dim)
 
 
 def mass_step_approx(n: int, params: PathLossParams) -> MassResult:
@@ -184,7 +162,7 @@ def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
     eps_plus, _ = _quad(
         lambda r: r ** (d - 1) * pair_connectedness(model, r),
         transition,
-        _cutoff_radius(model),
+        support_radius(model),
     )
     return min(eps_minus, 0.0), max(eps_plus, 0.0)
 

@@ -2,9 +2,11 @@
 
 Four models are supported: SISO, SIMO/MISO with m diversity branches,
 MIMO with beamforming + maximum ratio combining restricted to
-min(n_t, n_r) = 2, and the unit-disk hard threshold.  The MIMO
-connectedness is available in three algebraically equivalent forms so
-they can be cross-checked.
+min(n_t, n_r) = 2, and the unit-disk hard threshold.  Each model owns its
+H as an `h(r)` method that takes a scalar or an array of distances; the
+scalar and vectorized entry points below are thin wrappers over it.  The
+MIMO connectedness is also available in two further algebraically
+equivalent forms so the three can be cross-checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfun
 from .errors import CapabilityError, DomainError
@@ -30,7 +31,10 @@ __all__ = [
     "pair_connectedness",
     "pair_connectedness_many",
     "pair_connectedness_mimo_det",
+    "support_radius",
 ]
+
+_LINK_PROB_FLOOR = 1e-12  # pairs with H below this are treated as unlinked
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,24 @@ class PathLossParams:
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2, or 3, got {self.dim}")
 
+    def x(self, r):
+        """beta * r^eta, the outage threshold argument at distance r.
+
+        np.power, unlike Python's `**` on a float, rounds a scalar r exactly
+        as it rounds the same value inside an array.
+        """
+        return self.beta * np.power(r, self.eta)
+
 
 @dataclass(frozen=True)
 class Siso:
     """Single antenna at both ends; exponential channel power."""
 
     params: PathLossParams
+    diversity = 1
+
+    def h(self, r):
+        return np.exp(-self.params.x(r))
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,16 @@ class SimoMiso:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DomainError(f"diversity order m must be >= 1, got {self.m}")
+
+    @property
+    def diversity(self) -> int:
+        return self.m
+
+    def h(self, r):
+        x = self.params.x(r)
+        if self.m == 1:
+            return np.exp(-x)
+        return specfun.regularized_upper_gamma(self.m, x)
 
 
 @dataclass(frozen=True)
@@ -90,6 +116,20 @@ class Mimo:
     @property
     def n(self) -> int:
         return max(self.n_t, self.n_r)
+
+    diversity = n
+
+    def h(self, r):
+        x = self.params.x(r)
+        n = float(self.n)  # a float order skips scipy's int-to-float cast per call
+        p = specfun.regularized_lower_gamma
+        h = 1.0 - n * p(n - 1.0, x) * p(n + 1.0, x)
+        # In place, so no more than three arrays are live; a scalar just rebinds.
+        square = p(n, x)
+        square *= square
+        square *= n - 1.0
+        h += square
+        return _clamp01(h)
 
 
 @dataclass(frozen=True)
@@ -113,6 +153,13 @@ class UnitDisk:
         if not 0.0 <= self.plateau <= 1.0:
             raise DomainError(f"plateau must lie in [0, 1], got {self.plateau}")
 
+    diversity = 1
+
+    def h(self, r):
+        return np.select(
+            [r < self.radius, r == self.radius], [1.0, self.plateau], default=0.0
+        )
+
 
 ConnectionModel = Union[Siso, SimoMiso, Mimo, UnitDisk]
 
@@ -122,71 +169,50 @@ def _check_distance(r: float) -> None:
         raise DomainError(f"distance must be a non-negative finite real, got {r}")
 
 
-def _clamp01(h: float) -> float:
+def _clamp01(h):
+    """h clipped to [0, 1]: an array in place, a scalar by a cheap min/max."""
+    if isinstance(h, np.ndarray):
+        return np.clip(h, 0.0, 1.0, out=h)
     return min(1.0, max(0.0, h))
 
 
-def _mimo_m2(n: int, x: float, config: specfun.SpecFunConfig) -> float:
-    p_lo = specfun.regularized_lower_gamma(n - 1, x, config)
-    p_mid = specfun.regularized_lower_gamma(n, x, config)
-    p_hi = specfun.regularized_lower_gamma(n + 1, x, config)
-    return _clamp01(1.0 - n * p_lo * p_hi + (n - 1) * p_mid * p_mid)
-
-
-def pair_connectedness(
-    model: ConnectionModel,
-    r: float,
-    config: specfun.SpecFunConfig = specfun.DEFAULT_CONFIG,
-) -> float:
+def pair_connectedness(model: ConnectionModel, r: float) -> float:
     """Probability that two nodes a distance r apart share a direct link."""
     _check_distance(r)
-    if isinstance(model, UnitDisk):
-        if r < model.radius:
-            return 1.0
-        if r == model.radius:
-            return model.plateau
-        return 0.0
-    x = model.params.beta * r ** model.params.eta
-    if isinstance(model, Siso):
-        return math.exp(-x)
-    if isinstance(model, SimoMiso):
-        if model.m == 1:
-            return math.exp(-x)
-        return specfun.regularized_upper_gamma(model.m, x, config)
-    if isinstance(model, Mimo):
-        if x == 0.0:
-            return 1.0
-        return _mimo_m2(model.n, x, config)
-    raise DomainError(f"unsupported connection model {model!r}")
+    return float(model.h(r))
 
 
 def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray:
     """Vectorized H over an array of distances.
 
     Fast path for the Monte Carlo engine and field sampling; agrees with
-    the scalar evaluation pointwise.
+    the scalar evaluation bit for bit.
     """
     r = np.asarray(r, dtype=float)
     if r.size and (not np.isfinite(r).all() or (r < 0.0).any()):
         raise DomainError("distances must be non-negative finite reals")
-    if isinstance(model, UnitDisk):
-        return np.select(
-            [r < model.radius, r == model.radius], [1.0, model.plateau], default=0.0
-        )
-    x = model.params.beta * r ** model.params.eta
-    if isinstance(model, Siso) or (isinstance(model, SimoMiso) and model.m == 1):
-        return np.exp(-x)
-    if isinstance(model, SimoMiso):
-        return _sp.gammaincc(model.m, x)
-    if isinstance(model, Mimo):
-        n = model.n
-        h = (
-            1.0
-            - n * _sp.gammainc(n - 1, x) * _sp.gammainc(n + 1, x)
-            + (n - 1) * _sp.gammainc(n, x) ** 2
-        )
-        return np.clip(h, 0.0, 1.0)
-    raise DomainError(f"unsupported connection model {model!r}")
+    return model.h(r)
+
+
+def support_radius(model: ConnectionModel) -> float:
+    """Distance beyond which H is below the link-probability floor.
+
+    Found by doubling then bisection on the scalar H, so it holds for any
+    model whose H is non-increasing in r.
+    """
+    hi = 1.0
+    for _ in range(200):
+        if pair_connectedness(model, hi) < _LINK_PROB_FLOOR:
+            break
+        hi *= 2.0
+    lo, mid = 0.0, 0.5 * hi
+    while lo < mid < hi:  # until lo and hi are adjacent doubles
+        if pair_connectedness(model, mid) < _LINK_PROB_FLOOR:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def pair_connectedness_mimo_det(
@@ -194,7 +220,6 @@ def pair_connectedness_mimo_det(
     n_r: int,
     params: PathLossParams,
     r: float,
-    config: specfun.SpecFunConfig = specfun.DEFAULT_CONFIG,
 ) -> float:
     """MIMO H via the literal outage determinant of lower incomplete gammas.
 
@@ -212,9 +237,7 @@ def pair_connectedness_mimo_det(
     x = params.beta * r ** params.eta
 
     def gamma_lower(a: float) -> float:
-        return math.exp(specfun.log_gamma(a)) * specfun.regularized_lower_gamma(
-            a, x, config
-        )
+        return math.exp(specfun.log_gamma(a)) * specfun.regularized_lower_gamma(a, x)
 
     if m == 1:
         kappa = math.exp(-specfun.log_gamma(n))
@@ -227,20 +250,15 @@ def pair_connectedness_mimo_det(
     return _clamp01(1.0 - kappa * det)
 
 
-def mimo_gamma_form(
-    n: int,
-    params: PathLossParams,
-    r: float,
-    config: specfun.SpecFunConfig = specfun.DEFAULT_CONFIG,
-) -> float:
+def mimo_gamma_form(n: int, params: PathLossParams, r: float) -> float:
     """MIMO m = 2 H rearranged into unregularized upper-gamma terms."""
     if n < 2:
         raise DomainError(f"gamma form requires n >= 2, got {n}")
     _check_distance(r)
     x = params.beta * r ** params.eta
-    g_lo = specfun.upper_incomplete_gamma(n - 1, x, config)
-    g_mid = specfun.upper_incomplete_gamma(n, x, config)
-    g_hi = specfun.upper_incomplete_gamma(n + 1, x, config)
+    g_lo = specfun.upper_incomplete_gamma(n - 1, x)
+    g_mid = specfun.upper_incomplete_gamma(n, x)
+    g_hi = specfun.upper_incomplete_gamma(n + 1, x)
     gam_lo = math.exp(specfun.log_gamma(n - 1))
     gam_mid = math.exp(specfun.log_gamma(n))
     linear = (n * g_lo - 2.0 * g_mid + g_hi / (n - 1.0)) / gam_lo

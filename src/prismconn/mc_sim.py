@@ -21,9 +21,9 @@ from .errors import DomainError
 from .geometry import RightPrism, sample_uniform_rng
 from .linkmodels import (
     ConnectionModel,
-    UnitDisk,
     pair_connectedness,
     pair_connectedness_many,
+    support_radius,
 )
 
 __all__ = [
@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 _EXACT_MAX_NODES = 12
-_LINK_PROB_FLOOR = 1e-12  # pairs with H below this are treated as unlinked
+# Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
+# uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
+_RESAMPLE_CHUNK_BYTES = 10_000_000
 
 Z_95 = 1.959963984540054
 Z_99 = 2.5758293035489004
@@ -146,25 +148,6 @@ class McEstimate:
     mean_isolated: float
 
 
-def _support_radius(model: ConnectionModel) -> float:
-    """Distance beyond which H is below the link-probability floor."""
-    if isinstance(model, UnitDisk):
-        return model.radius
-    hi = 1.0
-    for _ in range(200):
-        if pair_connectedness(model, hi) < _LINK_PROB_FLOOR:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if pair_connectedness(model, mid) < _LINK_PROB_FLOOR:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -183,7 +166,7 @@ def run_trial(config: McConfig, index: int, cutoff: float | None = None) -> tupl
     if n == 1:
         return True, 1
     if cutoff is None:
-        cutoff = _support_radius(config.model)
+        cutoff = support_radius(config.model)
     ii, jj = np.triu_indices(n, k=1)
     dists = np.linalg.norm(points[ii] - points[jj], axis=1)
     near = dists <= cutoff
@@ -202,7 +185,7 @@ def run_trial(config: McConfig, index: int, cutoff: float | None = None) -> tupl
 
 def run_trials(config: McConfig) -> McEstimate:
     """Estimate P_fc over independent trials with a 95% Wilson interval."""
-    cutoff = _support_radius(config.model)
+    cutoff = support_radius(config.model)
     connected = 0
     isolated_total = 0
     for t in range(config.trials):
@@ -298,20 +281,19 @@ def edge_resampling_estimate(
 
     connected = 0
     isolated_total = 0
-    chunk = max(1, min(resamples, 20_000))
+    chunk = max(1, min(resamples, _RESAMPLE_CHUNK_BYTES // (5 * n * n)))
     done = 0
     while done < resamples:
         size = min(chunk, resamples - done)
         links = rng.random((size, h.size)) < h
-        adj = np.zeros((size, n, n), dtype=np.uint8)
+        adj = np.zeros((size, n, n), dtype=bool)
         adj[:, ii, jj] = links
         adj[:, jj, ii] = links
-        isolated_total += int((adj.sum(axis=2) == 0).sum())
-        reach = np.zeros((size, n), dtype=np.uint8)
-        reach[:, 0] = 1
+        isolated_total += int((~adj.any(axis=2)).sum())
+        reach = np.zeros((size, n, 1), dtype=bool)
+        reach[:, 0] = True
         for _ in range(n - 1):
-            grown = (np.matmul(adj, reach[:, :, None])[:, :, 0] > 0) | (reach > 0)
-            grown = grown.astype(np.uint8)
+            grown = adj @ reach | reach
             if np.array_equal(grown, reach):
                 break
             reach = grown

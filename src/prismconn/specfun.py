@@ -1,22 +1,27 @@
-"""Scalar special functions backing every connectivity formula.
+"""Special functions backing every connectivity formula.
 
 Log-gamma, the regularized/unregularized incomplete gamma functions, the
 Gauss hypergeometric function on z in [-1, 0], and the error function.
-All evaluation is plain double precision with explicit convergence control;
-gamma magnitudes are handled in log space so only final results can
-overflow.
+The incomplete gammas are thin wrappers over `scipy.special` that accept a
+scalar or an array of x; gamma magnitudes are handled in log space so only
+final results can overflow.
+
+The Gauss function stays a hand-rolled series: checked against mpmath,
+`scipy.special.hyp2f1` (scipy 1.17.1) at the arguments of the MIMO mass
+closed form, F(., 2n + nu; .; -1), is off by more than 1e-8 relative from
+n = 22 on and by up to 5e11 relative for n <= 64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
+from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "DEFAULT_CONFIG",
-    "SpecFunConfig",
     "erf",
     "gauss_2f1",
     "log_gamma",
@@ -25,25 +30,9 @@ __all__ = [
     "upper_incomplete_gamma",
 ]
 
-_FPMIN = 1e-300
 _LOG_DBL_MAX = 709.782712893384
-
-
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Termination control for series and continued-fraction loops."""
-
-    rel_tol: float = 1e-14
-    max_iter: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_iter < 100:
-            raise DomainError(f"max_iter must be >= 100, got {self.max_iter}")
-
-
-DEFAULT_CONFIG = SpecFunConfig()
+_HYP_REL_TOL = 1e-14
+_HYP_MAX_ITER = 10_000
 
 
 def log_gamma(a: float) -> float:
@@ -60,119 +49,58 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
-def _check_gamma_args(a: float, x: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(x)):
-        raise DomainError(f"incomplete gamma requires finite arguments, got a={a}, x={x}")
-    if a <= 0.0:
-        raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"incomplete gamma requires x >= 0, got x={x}")
+def _check_gamma_args(a: float, x) -> None:
+    if isinstance(x, np.ndarray):
+        # reductions, not elementwise masks: no temporaries; NaN fails both
+        x_ok = x.size == 0 or bool(x.min() >= 0.0 and x.max() < math.inf)
+    else:
+        x_ok = math.isfinite(x) and x >= 0.0
+    if not (math.isfinite(a) and a > 0.0 and x_ok):
+        raise DomainError(
+            f"incomplete gamma requires finite a > 0 and finite x >= 0, got a={a}, x={x}"
+        )
 
 
-def _lower_series(a: float, x: float, config: SpecFunConfig) -> float:
-    # P(a,x) = x^a e^-x / Gamma(a+1) * (1 + x/(a+1) + x^2/((a+1)(a+2)) + ...)
-    # Converges fast for x < a + 1.
-    term = 1.0
-    total = 1.0
-    ap = a
-    for _ in range(config.max_iter):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * config.rel_tol:
-            return total * math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
-    raise ConvergenceError(f"lower gamma series stalled for a={a}, x={x}")
-
-
-def _log_upper_cf(a: float, x: float, config: SpecFunConfig) -> float:
-    # log Gamma(a,x) via the modified Lentz continued fraction, for x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, config.max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < config.rel_tol:
-            return -x + a * math.log(x) + math.log(h)
-    raise ConvergenceError(f"upper gamma continued fraction stalled for a={a}, x={x}")
-
-
-def regularized_lower_gamma(
-    a: float, x: float, config: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
-    """Regularized lower incomplete gamma P(a, x) in [0, 1].
-
-    Series for x < a + 1, continued fraction otherwise.
-    """
+def regularized_lower_gamma(a: float, x):
+    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
     _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x, config)
-    return 1.0 - math.exp(_log_upper_cf(a, x, config) - math.lgamma(a))
+    return _sp.gammainc(a, x)
 
 
-def regularized_upper_gamma(
-    a: float, x: float, config: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
+def regularized_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x, config)
-    return math.exp(_log_upper_cf(a, x, config) - math.lgamma(a))
+    return _sp.gammaincc(a, x)
 
 
-def upper_incomplete_gamma(
-    a: float, x: float, config: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
+def upper_incomplete_gamma(a: float, x):
     """Unregularized upper incomplete gamma Gamma(a, x).
 
     Reconstructed from the regularized value in log space; raises
     OverflowError if the result exceeds the double range.
     """
     _check_gamma_args(a, x)
-    if x == 0.0:
-        log_val = math.lgamma(a)
-    elif x < a + 1.0:
-        q = 1.0 - _lower_series(a, x, config)
-        if q <= 0.0:
-            return 0.0
-        log_val = math.log(q) + math.lgamma(a)
-    else:
-        log_val = _log_upper_cf(a, x, config)
-    if log_val > _LOG_DBL_MAX:
+    with np.errstate(divide="ignore"):
+        log_val = np.log(_sp.gammaincc(a, x)) + math.lgamma(a)
+    if np.any(log_val > _LOG_DBL_MAX):
         raise OverflowError(f"Gamma({a}, {x}) exceeds the double-precision range")
-    return math.exp(log_val)
+    return np.exp(log_val)
 
 
-def _hyp_series(p: float, q: float, c: float, w: float, config: SpecFunConfig) -> float:
+def _hyp_series(p: float, q: float, c: float, w: float) -> float:
     term = 1.0
     total = 1.0
-    for k in range(config.max_iter):
+    for k in range(_HYP_MAX_ITER):
         term *= (p + k) * (q + k) / ((c + k) * (k + 1.0)) * w
         total += term
-        if abs(term) <= abs(total) * config.rel_tol:
+        if abs(term) <= abs(total) * _HYP_REL_TOL:
             return total
     raise ConvergenceError(
         f"hypergeometric series stalled for parameters ({p}, {q}; {c}) at w={w}"
     )
 
 
-def gauss_2f1(
-    a: float, b: float, c: float, z: float, config: SpecFunConfig = DEFAULT_CONFIG
-) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric F(a, b; c; z) for z in [-1, 0].
 
     A Pfaff transformation maps z to w = z/(z-1) in [0, 1/2], where the
@@ -197,4 +125,4 @@ def gauss_2f1(
         p, q, power = c - a, b, b
     else:
         p, q, power = a, c - b, a
-    return (1.0 - z) ** (-power) * _hyp_series(p, q, c, w, config)
+    return (1.0 - z) ** (-power) * _hyp_series(p, q, c, w)

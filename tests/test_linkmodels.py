@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -181,6 +182,20 @@ def test_mimo_step_behavior():
     assert above[-1] < 0.05
 
 
+def mpmath_h(model, r):
+    """H at 30 digits from regularized mpmath incomplete gammas."""
+    if isinstance(model, UnitDisk):
+        return 1.0 if r < model.radius else model.plateau if r == model.radius else 0.0
+    x = mpmath.mpf(model.params.beta) * mpmath.mpf(float(r)) ** mpmath.mpf(model.params.eta)
+    if isinstance(model, Siso):
+        return mpmath.exp(-x)
+    if isinstance(model, SimoMiso):
+        return mpmath.gammainc(model.m, x, mpmath.inf, regularized=True)
+    n = model.n
+    p = [mpmath.gammainc(a, 0, x, regularized=True) for a in (n - 1, n, n + 1)]
+    return 1 - n * p[0] * p[2] + (n - 1) * p[1] ** 2
+
+
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     rs = rng.uniform(0.0, 5.0, size=100)
@@ -191,7 +206,10 @@ def test_vectorized_matches_scalar():
         Mimo(2, 4, PathLossParams(2.0, 2.0, 3)),
         UnitDisk(1.5, P3),
     ]
-    for model in models:
-        vec = pair_connectedness_many(model, rs)
-        scalar = np.array([pair_connectedness(model, float(r)) for r in rs])
-        np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=1e-12)
+    with mpmath.workdps(30):
+        for model in models:
+            vec = pair_connectedness_many(model, rs)
+            scalar = np.array([pair_connectedness(model, float(r)) for r in rs])
+            np.testing.assert_array_equal(vec, scalar)
+            oracle = np.array([float(mpmath_h(model, r)) for r in rs])
+            np.testing.assert_allclose(vec, oracle, rtol=0.0, atol=1e-13)

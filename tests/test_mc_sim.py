@@ -13,6 +13,7 @@ from prismconn.linkmodels import (
     Siso,
     UnitDisk,
     pair_connectedness,
+    pair_connectedness_many,
 )
 from prismconn.mc_sim import (
     McConfig,
@@ -184,6 +185,24 @@ def test_edge_resampling_matches_exact():
         estimate = edge_resampling_estimate(pts, model, resamples, seed=int(rng.integers(1 << 30)))
         sigma = math.sqrt(max(exact * (1 - exact), 1e-10) / resamples)
         assert abs(estimate.p_fc_hat - exact) < 4.0 * sigma
+
+
+def test_edge_resampling_counts_past_255_neighbours():
+    # Node 0 reaches the far node only through a 256-node cluster; every
+    # link has H = 1, so the graph is one component in every resample.  A
+    # reachability product in uint8 would count the far node's 256 reached
+    # neighbours as 0 and call it disconnected.
+    model = UnitDisk(1.0, P3)
+    rng = np.random.default_rng(3)
+    cluster = np.array([0.9, 0.0, 0.0]) + rng.uniform(-5e-4, 5e-4, size=(256, 3))
+    pts = np.vstack([[0.0, 0.0, 0.0], cluster, [1.8, 0.0, 0.0]])
+    ii, jj = np.triu_indices(len(pts), k=1)
+    h = pair_connectedness_many(model, np.linalg.norm(pts[ii] - pts[jj], axis=1))
+    assert set(np.unique(h)) == {0.0, 1.0}
+    assert bfs_component_count(len(pts), zip(ii[h == 1.0], jj[h == 1.0])) == 1
+    estimate = edge_resampling_estimate(pts, model, resamples=4, seed=1)
+    assert estimate.p_fc_hat == 1.0
+    assert estimate.mean_isolated == 0.0
 
 
 def test_edge_resampling_validation():

@@ -6,13 +6,13 @@ Derived expected values below were computed once with the stated oracle
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from prismconn.errors import DomainError
 from prismconn.specfun import (
-    SpecFunConfig,
     erf,
     gauss_2f1,
     log_gamma,
@@ -195,6 +195,34 @@ def test_incomplete_gamma_against_scipy():
         )
 
 
+def test_incomplete_gammas_against_mpmath():
+    rng = np.random.default_rng(19)
+    with mpmath.workdps(30):
+        for _ in range(60):
+            a = float(rng.uniform(0.1, 60.0))
+            x = float(rng.uniform(0.0, 120.0))
+            expected = {
+                regularized_lower_gamma: mpmath.gammainc(a, 0, x, regularized=True),
+                regularized_upper_gamma: mpmath.gammainc(a, x, mpmath.inf, regularized=True),
+                upper_incomplete_gamma: mpmath.gammainc(a, x, mpmath.inf),
+            }
+            for fn, ref in expected.items():
+                assert fn(a, x) == pytest.approx(float(ref), rel=1e-12, abs=1e-14)
+
+
+def test_incomplete_gammas_take_arrays():
+    xs = np.array([0.0, 0.3, 2.0, 7.5, 40.0])
+    for fn in (regularized_lower_gamma, regularized_upper_gamma, upper_incomplete_gamma):
+        got = fn(3.0, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.tolist() == [float(fn(3.0, float(x))) for x in xs]
+        for bad in (np.array([1.0, -0.5]), np.array([1.0, math.nan]), np.array([math.inf])):
+            with pytest.raises(DomainError):
+                fn(3.0, bad)
+    with pytest.raises(OverflowError):
+        upper_incomplete_gamma(200.0, np.array([0.0, 1.0]))
+
+
 def test_gauss_2f1_contiguous_relation():
     # c(c-1)(z-1) F(c-1) + c(c-1-(2c-a-b-1)z) F(c) + (c-a)(c-b)z F(c+1) = 0
     z = -1.0
@@ -243,13 +271,6 @@ def test_domain_errors():
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        SpecFunConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SpecFunConfig(rel_tol=1e-2)
-    with pytest.raises(DomainError):
-        SpecFunConfig(max_iter=10)
-    loose = SpecFunConfig(rel_tol=1e-6, max_iter=500)
-    assert regularized_lower_gamma(2.0, 2.0, loose) == pytest.approx(
+    assert regularized_lower_gamma(2.0, 2.0) == pytest.approx(
         0.5939941502901616, rel=1e-5
     )
