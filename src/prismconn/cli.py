@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,33 +35,42 @@ EXIT_CAPABILITY = 3
 EXIT_VALIDATION = 4
 
 
+def _cast(kind, value, where: str):
+    """kind(value); a malformed value is a usage error naming it and where it was."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
+
+
 def _parse_int_spec(spec) -> list[int]:
     if isinstance(spec, (list, tuple)):
-        return [int(v) for v in spec]
+        return [_cast(int, v, "integer list") for v in spec]
     if isinstance(spec, int):
         return [spec]
     text = str(spec).strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = _cast(int, lo, f"range {text!r}"), _cast(int, hi, f"range {text!r}")
         if hi_i < lo_i:
             raise DomainError(f"empty integer range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    return [_cast(int, tok, f"list {text!r}") for tok in text.split(",") if tok]
 
 
 def _parse_float_spec(spec) -> list[float]:
     if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
+        return [_cast(float, v, "number list") for v in spec]
     if isinstance(spec, (int, float)):
         return [float(spec)]
-    return [float(tok) for tok in str(spec).split(",") if tok]
+    text = str(spec)
+    return [_cast(float, tok, f"list {text!r}") for tok in text.split(",") if tok]
 
 
 def _parse_grid(spec) -> list[float]:
     """A density grid: either start:stop:step, a comma list, or one value."""
     if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
+        return [_cast(float, v, "grid list") for v in spec]
     if isinstance(spec, (int, float)):
         return [float(spec)]
     text = str(spec).strip()
@@ -68,9 +78,10 @@ def _parse_grid(spec) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise DomainError(f"grid spec {text!r} does not define a forward range")
+        start, stop, step = (_cast(float, p, f"grid spec {text!r}") for p in parts)
+        finite = all(math.isfinite(v) for v in (start, stop, step))
+        if not finite or step <= 0.0 or stop < start:
+            raise DomainError(f"grid spec {text!r} does not define a finite forward range")
         values = []
         k = 0
         while True:
@@ -80,7 +91,10 @@ def _parse_grid(spec) -> list[float]:
             values.append(round(v, 12))
             k += 1
         return values
-    return [float(tok) for tok in text.split(",") if tok]
+    values = [_cast(float, tok, f"grid {text!r}") for tok in text.split(",") if tok]
+    if not values:
+        raise DomainError(f"grid {text!r} has no values")
+    return values
 
 
 def _cell(value) -> str:
@@ -148,10 +162,16 @@ def _resolve(args, defaults: dict, required: tuple[str, ...] = ()) -> dict:
     return params
 
 
+def _path_loss(params: dict, dim: int) -> PathLossParams:
+    return PathLossParams(
+        _cast(float, params["beta"], "beta"), _cast(float, params["eta"], "eta"), dim
+    )
+
+
 def _build_prism(params: dict) -> RightPrism:
     name = str(params["prism"])
     if name in ("house", "cube"):
-        return preset_prism(name, float(params["length"]))
+        return preset_prism(name, _cast(float, params["length"], "length"))
     return load_prism(name)
 
 
@@ -163,8 +183,8 @@ def cmd_mass(args) -> int:
         raise DomainError(f"mass supports models siso|simo|mimo, got {kind!r}")
     ks = [1] if kind == "siso" else _parse_int_spec(params["k"])
     etas = _parse_float_spec(params["eta"])
-    beta = float(params["beta"])
-    d = int(params["d"])
+    beta = _cast(float, params["beta"], "beta")
+    d = _cast(int, params["d"], "d")
     header = [
         "model", "k", "d", "eta", "beta",
         "closed_form", "quadrature", "quad_abs_err", "leading_order", "rel_gap",
@@ -223,7 +243,7 @@ def _pfc_rows(prism: RightPrism, pl: PathLossParams, rhos: list[float]):
 def cmd_pfc(args) -> int:
     params = _resolve(args, dict(_PFC_DEFAULTS), required=("rho",))
     prism = _build_prism(params)
-    pl = PathLossParams(float(params["beta"]), float(params["eta"]), int(params["d"]))
+    pl = _path_loss(params, _cast(int, params["d"], "d"))
     rhos = _parse_grid(params["rho"])
     header, rows, _ = _pfc_rows(prism, pl, rhos)
     _write_output(
@@ -238,7 +258,7 @@ def cmd_simulate(args) -> int:
     defaults = {**_PFC_DEFAULTS, "trials": 1000, "seed": None, "poisson": False}
     params = _resolve(args, defaults, required=("rho", "seed"))
     prism = _build_prism(params)
-    pl = PathLossParams(float(params["beta"]), float(params["eta"]), int(params["d"]))
+    pl = _path_loss(params, _cast(int, params["d"], "d"))
     model = Mimo(2, 2, pl)
     rhos = _parse_grid(params["rho"])
     _, _, breakdowns = _pfc_rows(prism, pl, rhos)
@@ -249,7 +269,8 @@ def cmd_simulate(args) -> int:
     rows = []
     for rho, breakdown in zip(rhos, breakdowns):
         config = mc_sim.McConfig.from_density(
-            prism, model, rho, int(params["trials"]), int(params["seed"]),
+            prism, model, rho, _cast(int, params["trials"], "trials"),
+            _cast(int, params["seed"], "seed"),
             poisson=bool(params["poisson"]),
         )
         est = mc_sim.run_trials(config)
@@ -263,16 +284,16 @@ def cmd_simulate(args) -> int:
 
 
 def _field_model(params: dict, dim: int):
-    pl = PathLossParams(float(params["beta"]), float(params["eta"]), dim)
+    pl = _path_loss(params, dim)
     kind = str(params["model"])
     if kind == "siso":
         return Siso(pl)
     if kind == "simo":
-        return SimoMiso(int(params["k"]), pl)
+        return SimoMiso(_cast(int, params["k"], "m"), pl)
     if kind == "mimo":
-        return Mimo(2, int(params["k"]), pl)
+        return Mimo(2, _cast(int, params["k"], "m"), pl)
     if kind == "unitdisk":
-        return UnitDisk(float(params["radius"]), pl)
+        return UnitDisk(_cast(float, params["radius"], "radius"), pl)
     raise DomainError(f"field supports models siso|simo|mimo|unitdisk, got {kind!r}")
 
 
@@ -287,13 +308,13 @@ def cmd_field(args) -> int:
         raise DomainError("field requires either --square or --prism")
 
     rho = float(_parse_grid(params["rho"])[0])
-    grid_n = int(params["grid"])
+    grid_n = _cast(int, params["grid"], "grid")
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points per axis, got {grid_n}")
-    rng = np.random.default_rng(int(params["seed"]))
+    rng = np.random.default_rng(_cast(int, params["seed"], "seed"))
 
     if params["square"] is not None:
-        side = float(params["square"])
+        side = _cast(float, params["square"], "square")
         if side <= 0.0:
             raise DomainError(f"square side must be positive, got {side}")
         model = _field_model(params, 2)

@@ -156,9 +156,7 @@ class UnitDisk:
     diversity = 1
 
     def h(self, r):
-        return np.select(
-            [r < self.radius, r == self.radius], [1.0, self.plateau], default=0.0
-        )
+        return (r < self.radius) * 1.0 + (r == self.radius) * self.plateau
 
 
 ConnectionModel = Union[Siso, SimoMiso, Mimo, UnitDisk]

@@ -13,18 +13,13 @@ can be evaluated on arbitrary grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import RightPrism, sample_uniform_rng
-from .linkmodels import (
-    ConnectionModel,
-    pair_connectedness,
-    pair_connectedness_many,
-    support_radius,
-)
+from .linkmodels import ConnectionModel, pair_connectedness_many, support_radius
 
 __all__ = [
     "McConfig",
@@ -105,7 +100,11 @@ def wilson_interval(
 
 @dataclass(frozen=True)
 class McConfig:
-    """A full-connectivity experiment: prism, link model, N, trials, seed."""
+    """A full-connectivity experiment: prism, link model, N, trials, seed.
+
+    `cutoff` is derived: the model's support radius, beyond which no pair
+    is evaluated.
+    """
 
     prism: RightPrism
     model: ConnectionModel
@@ -113,6 +112,7 @@ class McConfig:
     trials: int
     seed: int
     poisson: bool = False
+    cutoff: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -121,6 +121,7 @@ class McConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "cutoff", support_radius(self.model))
 
     @classmethod
     def from_density(
@@ -152,7 +153,19 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def run_trial(config: McConfig, index: int, cutoff: float | None = None) -> tuple[bool, int]:
+def _pairs(points: np.ndarray, model: ConnectionModel, cutoff: float = math.inf):
+    """The node pairs (i, j), i < j, at most `cutoff` apart, with their H.
+
+    Points may be rows of coordinates or, on a line, bare scalars. A NaN
+    distance is kept, so H rejects it instead of the pair vanishing.
+    """
+    ii, jj = np.triu_indices(len(points), k=1)
+    dists = np.linalg.norm((points[ii] - points[jj]).reshape(ii.size, -1), axis=1)
+    near = ~(dists > cutoff)
+    return ii[near], jj[near], pair_connectedness_many(model, dists[near])
+
+
+def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
     """One trial: returns (fully connected, number of isolated nodes).
 
     Depends only on (config.seed, index), never on how many other trials
@@ -165,31 +178,23 @@ def run_trial(config: McConfig, index: int, cutoff: float | None = None) -> tupl
     points = sample_uniform_rng(config.prism, n, rng)
     if n == 1:
         return True, 1
-    if cutoff is None:
-        cutoff = support_radius(config.model)
-    ii, jj = np.triu_indices(n, k=1)
-    dists = np.linalg.norm(points[ii] - points[jj], axis=1)
-    near = dists <= cutoff
-    h = pair_connectedness_many(config.model, dists[near])
+    ii, jj, h = _pairs(points, config.model, config.cutoff)
     linked = rng.random(h.size) < h
-    src = ii[near][linked]
-    dst = jj[near][linked]
+    src = ii[linked]
+    dst = jj[linked]
 
     degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     isolated = int((degree == 0).sum())
-    uf = UnionFind(n)
-    for i, j in zip(src.tolist(), dst.tolist()):
-        uf.union(i, j)
-    return uf.components <= 1, isolated
+    connected, _ = connectivity_check(n, zip(src.tolist(), dst.tolist()))
+    return connected, isolated
 
 
 def run_trials(config: McConfig) -> McEstimate:
     """Estimate P_fc over independent trials with a 95% Wilson interval."""
-    cutoff = support_radius(config.model)
     connected = 0
     isolated_total = 0
     for t in range(config.trials):
-        ok, isolated = run_trial(config, t, cutoff)
+        ok, isolated = run_trial(config, t)
         connected += ok
         isolated_total += isolated
     low, high = wilson_interval(connected, config.trials)
@@ -200,17 +205,6 @@ def run_trials(config: McConfig) -> McEstimate:
         high,
         isolated_total / config.trials,
     )
-
-
-def _link_matrix(points: np.ndarray, model: ConnectionModel) -> np.ndarray:
-    n = len(points)
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = h[j, i] = pair_connectedness(
-                model, float(np.linalg.norm(points[i] - points[j]))
-            )
-    return h
 
 
 def exact_connectivity_probability(points, model: ConnectionModel) -> float:
@@ -231,15 +225,16 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
         )
     if n == 1:
         return 1.0
-    q = 1.0 - _link_matrix(pts, model)
+    ii, jj, h = _pairs(pts, model)
+    q = np.ones((n, n))
+    q[ii, jj] = q[jj, ii] = 1.0 - h
 
-    # miss[i][mask] = prod over j in mask of (1 - H_ij)
-    miss = [np.ones(1 << n) for _ in range(n)]
-    for i in range(n):
-        row = miss[i]
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            row[mask] = row[mask & (mask - 1)] * q[i, low]
+    # miss[i][mask] = prod over j in mask of (1 - H_ij), one bit at a time:
+    # the masks with top bit b are those below 1 << b times 1 - H_ib.
+    miss = np.ones((n, 1 << n))
+    for b in range(n):
+        miss[:, 1 << b : 2 << b] = miss[:, : 1 << b] * q[:, b : b + 1]
+    miss = miss.tolist()
 
     full = (1 << n) - 1
     f = [0.0] * (1 << n)
@@ -275,8 +270,7 @@ def edge_resampling_estimate(
         raise DomainError(f"edge resampling needs at least 2 nodes, got {n}")
     if resamples < 1:
         raise DomainError(f"resamples must be >= 1, got {resamples}")
-    ii, jj = np.triu_indices(n, k=1)
-    h = pair_connectedness_many(model, np.linalg.norm(pts[ii] - pts[jj], axis=1))
+    ii, jj, h = _pairs(pts, model)
     rng = np.random.default_rng(int(seed))
 
     connected = 0

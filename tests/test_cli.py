@@ -2,10 +2,14 @@
 
 import csv
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prismconn.cli import main
+from prismconn.cli import _parse_grid, _parse_int_spec, main
+from prismconn.errors import DomainError
 from prismconn.validation import CHECK_NAMES, run_checks
 
 
@@ -116,6 +120,74 @@ def test_usage_errors():
     assert run_cli(["pfc", "--prism", "house", "--rho", "0:1:-1"]) == 2
     assert run_cli(["simulate", "--prism", "house", "--rho", "0.5"]) == 2  # no seed
     assert run_cli(["nonsense"]) == 2
+
+
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
+    assert run_cli(["pfc", "--rho", "abc"]) == 2
+    assert run_cli(["mass", "--model", "simo", "--m", "1..x"]) == 2
+    assert run_cli(["mass", "--model", "simo", "--eta", "2,q"]) == 2
+    assert run_cli(["field", "--square", "5", "--rho", ",", "--seed", "1"]) == 2
+    for spec in ("0:1:nan", "0:inf:1", "nan:1:0.5", "-inf:1:1"):
+        assert run_cli(["pfc", "--rho", spec]) == 2
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"rho": "x"}), encoding="utf-8")
+    assert run_cli(["pfc", "--config", str(config)]) == 2
+    config.write_text(json.dumps({"rho": 0.5, "length": "seven"}), encoding="utf-8")
+    assert run_cli(["pfc", "--config", str(config)]) == 2
+    config.write_text(
+        json.dumps({"square": 5, "rho": 0.3, "seed": 1, "grid": "many"}), encoding="utf-8"
+    )
+    assert run_cli(["field", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "'abc'" in err and "'x'" in err and "'seven'" in err and "'many'" in err
+    assert "Traceback" not in err
+
+
+fast = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# characters no int() or float() accepts alone, and that spell no inf or nan
+malformed = st.text(alphabet="xyz#?/", min_size=1, max_size=4)
+
+
+@fast
+@given(st.integers(-1000, 1000), st.integers(0, 50))
+def test_int_range_round_trip(lo, width):
+    assert _parse_int_spec(f"{lo}..{lo + width}") == list(range(lo, lo + width + 1))
+
+
+@fast
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
+def test_int_list_round_trip(values):
+    assert _parse_int_spec(",".join(map(str, values))) == values
+
+
+@fast
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=10))
+def test_grid_list_round_trip(values):
+    assert _parse_grid(",".join(map(repr, values))) == values
+
+
+@fast
+@given(st.integers(-400, 400), st.integers(1, 40), st.integers(1, 30))
+def test_grid_range_round_trip(start_q, step_q, count):
+    # quarters are exact in binary, so every grid value is exact too
+    start, step = start_q / 4, step_q / 4
+    stop = start + (count - 1) * step
+    assert _parse_grid(f"{start!r}:{stop!r}:{step!r}") == [
+        start + k * step for k in range(count)
+    ]
+
+
+@fast
+@given(malformed, st.integers(-10, 10))
+def test_malformed_specs_raise_domain_error(token, good):
+    for spec in (f"{good}..{token}", f"{token}..{good}", f"{good},{token}", token):
+        with pytest.raises(DomainError, match=re.escape(repr(token))):
+            _parse_int_spec(spec)
+    for spec in (f"{token}:1:1", f"0:{token}:1", f"0:1:{token}", f"{good},{token}", token):
+        with pytest.raises(DomainError, match=re.escape(repr(token))):
+            _parse_grid(spec)
+    with pytest.raises(DomainError):
+        _parse_int_spec([good, token])
 
 
 def test_simulate_reproducible(tmp_path):

@@ -198,7 +198,9 @@ def mpmath_h(model, r):
 
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
-    rs = rng.uniform(0.0, 5.0, size=100)
+    # the unit disk's radius and its adjacent doubles, where H steps
+    edge = [1.5, np.nextafter(1.5, 0.0), np.nextafter(1.5, 2.0)]
+    rs = np.concatenate([rng.uniform(0.0, 5.0, size=100), edge])
     models = [
         Siso(P3),
         SimoMiso(1, P3),

@@ -14,6 +14,7 @@ from prismconn.linkmodels import (
     UnitDisk,
     pair_connectedness,
     pair_connectedness_many,
+    support_radius,
 )
 from prismconn.mc_sim import (
     McConfig,
@@ -97,6 +98,7 @@ def test_config_validation():
         McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=10, seed=-2)
     config = McConfig.from_density(cube_prism(2.0), Siso(P3), rho=1.5, trials=10, seed=1)
     assert config.node_count == 12
+    assert config.cutoff == support_radius(Siso(P3))
 
 
 def test_connectivity_check_examples():
@@ -134,6 +136,9 @@ def test_exact_two_nodes():
     model = Mimo(2, 2, P3)
     assert exact_connectivity_probability(pts, model) == pytest.approx(
         pair_connectedness(model, 1.3), rel=1e-14
+    )
+    assert exact_connectivity_probability([0.0, 1.3], model) == (
+        exact_connectivity_probability(pts, model)
     )
 
 
@@ -173,12 +178,21 @@ def test_exact_size_cap():
     assert exact_connectivity_probability([(0.0, 0.0, 0.0)], Siso(P3)) == 1.0
 
 
+def test_oracles_reject_non_finite_points():
+    pts = [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    with pytest.raises(DomainError):
+        exact_connectivity_probability(pts, Siso(P3))
+    with pytest.raises(DomainError):
+        edge_resampling_estimate(pts, Siso(P3), 10, 1)
+
+
 def test_edge_resampling_matches_exact():
     rng = np.random.default_rng(77)
     prism = house_prism(3.0)
     model = Mimo(2, 2, PathLossParams(0.3, 2.0, 3))
-    for _ in range(5):
-        n = int(rng.integers(4, 9))
+    # five random sizes, then the exact oracle's cap, where the top bit fills
+    for size in (None,) * 5 + (12,):
+        n = size or int(rng.integers(4, 9))
         pts = sample_uniform_rng(prism, n, rng)
         exact = exact_connectivity_probability(pts, model)
         resamples = 30_000

@@ -185,16 +185,6 @@ def test_monotonicity_in_x():
         assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_incomplete_gamma_against_scipy():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = float(rng.uniform(0.1, 60.0))
-        x = float(rng.uniform(0.0, 120.0))
-        assert regularized_lower_gamma(a, x) == pytest.approx(
-            float(special.gammainc(a, x)), rel=1e-12, abs=1e-13
-        )
-
-
 def test_incomplete_gammas_against_mpmath():
     rng = np.random.default_rng(19)
     with mpmath.workdps(30):
