@@ -43,9 +43,24 @@ def _cast(kind, value, where: str):
         raise DomainError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
 
 
+_MAX_VALUES = 10**6  # longest range a spec may expand to
+
+
+def _nonempty(values: list, spec) -> list:
+    if not values:
+        raise DomainError(f"number spec {spec!r} has no values")
+    return values
+
+
+def _too_long(count: float, text: str) -> None:
+    if count > _MAX_VALUES:
+        raise DomainError(f"range {text!r} has more than {_MAX_VALUES} values")
+
+
 def _parse_int_spec(spec) -> list[int]:
+    """Integers: lo..hi (inclusive), a comma list, or one value."""
     if isinstance(spec, (list, tuple)):
-        return [_cast(int, v, "integer list") for v in spec]
+        return _nonempty([_cast(int, v, "integer list") for v in spec], spec)
     if isinstance(spec, int):
         return [spec]
     text = str(spec).strip()
@@ -54,23 +69,16 @@ def _parse_int_spec(spec) -> list[int]:
         lo_i, hi_i = _cast(int, lo, f"range {text!r}"), _cast(int, hi, f"range {text!r}")
         if hi_i < lo_i:
             raise DomainError(f"empty integer range {text!r}")
+        _too_long(hi_i - lo_i + 1, text)
         return list(range(lo_i, hi_i + 1))
-    return [_cast(int, tok, f"list {text!r}") for tok in text.split(",") if tok]
-
-
-def _parse_float_spec(spec) -> list[float]:
-    if isinstance(spec, (list, tuple)):
-        return [_cast(float, v, "number list") for v in spec]
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
-    text = str(spec)
-    return [_cast(float, tok, f"list {text!r}") for tok in text.split(",") if tok]
+    tokens = [tok for tok in text.split(",") if tok]
+    return _nonempty([_cast(int, tok, f"list {text!r}") for tok in tokens], spec)
 
 
 def _parse_grid(spec) -> list[float]:
-    """A density grid: either start:stop:step, a comma list, or one value."""
+    """Reals: start:stop:step, a comma list, or one value."""
     if isinstance(spec, (list, tuple)):
-        return [_cast(float, v, "grid list") for v in spec]
+        return _nonempty([_cast(float, v, "grid list") for v in spec], spec)
     if isinstance(spec, (int, float)):
         return [float(spec)]
     text = str(spec).strip()
@@ -82,6 +90,7 @@ def _parse_grid(spec) -> list[float]:
         finite = all(math.isfinite(v) for v in (start, stop, step))
         if not finite or step <= 0.0 or stop < start:
             raise DomainError(f"grid spec {text!r} does not define a finite forward range")
+        _too_long((stop - start) / step + 1.0, text)
         values = []
         k = 0
         while True:
@@ -91,10 +100,8 @@ def _parse_grid(spec) -> list[float]:
             values.append(round(v, 12))
             k += 1
         return values
-    values = [_cast(float, tok, f"grid {text!r}") for tok in text.split(",") if tok]
-    if not values:
-        raise DomainError(f"grid {text!r} has no values")
-    return values
+    tokens = [tok for tok in text.split(",") if tok]
+    return _nonempty([_cast(float, tok, f"grid {text!r}") for tok in tokens], spec)
 
 
 def _cell(value) -> str:
@@ -182,7 +189,7 @@ def cmd_mass(args) -> int:
     if kind not in ("siso", "simo", "mimo"):
         raise DomainError(f"mass supports models siso|simo|mimo, got {kind!r}")
     ks = [1] if kind == "siso" else _parse_int_spec(params["k"])
-    etas = _parse_float_spec(params["eta"])
+    etas = _parse_grid(params["eta"])
     beta = _cast(float, params["beta"], "beta")
     d = _cast(int, params["d"], "d")
     header = [
@@ -220,15 +227,18 @@ _PFC_DEFAULTS = {
 }
 
 
-def _pfc_rows(prism: RightPrism, pl: PathLossParams, rhos: list[float]):
-    breakdowns = pfc_analytic.assemble(prism, pl, rhos)
+def cmd_pfc(args) -> int:
+    params = _resolve(args, dict(_PFC_DEFAULTS), required=("rho",))
+    prism = _build_prism(params)
+    pl = _path_loss(params, _cast(int, params["d"], "d"))
+    rhos = _parse_grid(params["rho"])
     header = [
         "rho", "p_fc", "p_out", "in_regime",
         "p_fc_bulk", "p_fc_bulk_faces", "p_fc_bulk_faces_edges",
         "term_corners", "term_edges", "term_faces", "term_bulk",
     ]
     rows = []
-    for b in breakdowns:
+    for b in pfc_analytic.assemble(prism, pl, rhos):
         sums = pfc_analytic.class_term_sums(b)
         cumulative = pfc_analytic.cumulative_pfc(b)
         rows.append(
@@ -237,15 +247,6 @@ def _pfc_rows(prism: RightPrism, pl: PathLossParams, rhos: list[float]):
              cumulative["bulk_faces_edges"],
              sums["corners"], sums["edges"], sums["faces"], sums["bulk"]]
         )
-    return header, rows, breakdowns
-
-
-def cmd_pfc(args) -> int:
-    params = _resolve(args, dict(_PFC_DEFAULTS), required=("rho",))
-    prism = _build_prism(params)
-    pl = _path_loss(params, _cast(int, params["d"], "d"))
-    rhos = _parse_grid(params["rho"])
-    header, rows, _ = _pfc_rows(prism, pl, rhos)
     _write_output(
         args, header, rows,
         extra={"feature_table": pfc_analytic.feature_table(prism, pl)},
@@ -261,7 +262,9 @@ def cmd_simulate(args) -> int:
     pl = _path_loss(params, _cast(int, params["d"], "d"))
     model = Mimo(2, 2, pl)
     rhos = _parse_grid(params["rho"])
-    _, _, breakdowns = _pfc_rows(prism, pl, rhos)
+    breakdowns = pfc_analytic.assemble(prism, pl, rhos)
+    trials = _cast(int, params["trials"], "trials")
+    seed = _cast(int, params["seed"], "seed")
     header = [
         "rho", "n_nodes", "trials", "p_fc_hat", "ci_low", "ci_high",
         "mean_isolated", "p_fc_analytic",
@@ -269,9 +272,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for rho, breakdown in zip(rhos, breakdowns):
         config = mc_sim.McConfig.from_density(
-            prism, model, rho, _cast(int, params["trials"], "trials"),
-            _cast(int, params["seed"], "seed"),
-            poisson=bool(params["poisson"]),
+            prism, model, rho, trials, seed, poisson=bool(params["poisson"])
         )
         est = mc_sim.run_trials(config)
         rows.append(
@@ -304,49 +305,43 @@ def cmd_field(args) -> int:
         "grid": 200, "seed": None,
     }
     params = _resolve(args, defaults, required=("rho", "seed"))
-    if params["square"] is None and params["prism"] is None:
-        raise DomainError("field requires either --square or --prism")
+    if (params["square"] is None) == (params["prism"] is None):
+        raise DomainError("field requires exactly one of --square or --prism")
 
-    rho = float(_parse_grid(params["rho"])[0])
+    rhos = _parse_grid(params["rho"])
+    if len(rhos) != 1:
+        raise DomainError(f"field takes one density, got {len(rhos)}: {params['rho']!r}")
+    rho = rhos[0]
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise DomainError(f"field density must be a non-negative finite real, got {rho}")
     grid_n = _cast(int, params["grid"], "grid")
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points per axis, got {grid_n}")
     rng = np.random.default_rng(_cast(int, params["seed"], "seed"))
 
+    # The domain: a square [0, side]^2 or a prism inside its bounding box.
     if params["square"] is not None:
         side = _cast(float, params["square"], "square")
-        if side <= 0.0:
-            raise DomainError(f"square side must be positive, got {side}")
-        model = _field_model(params, 2)
-        count = round(rho * side * side)
-        points = rng.random((count, 2)) * side if count else np.empty((0, 2))
-        axis = np.linspace(0.0, side, grid_n)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
-        values = mc_sim.connection_field(points, model, grid_pts)
-        header = ["x", "y", "value"]
-        rows = [[float(x), float(y), float(v)] for (x, y), v in zip(grid_pts, values)]
+        if not (math.isfinite(side) and side > 0.0):
+            raise DomainError(f"square side must be a positive finite real, got {side}")
+        dim, lo, hi = 2, (0.0, 0.0), (side, side)
+        points = rng.random((round(rho * side * side), 2)) * side
+        contains = None
     else:
         prism = _build_prism(params)
-        model = _field_model(params, 3)
+        dim, (lo, hi) = 3, prism.bounding_box
         count = round(rho * prism.volume)
-        points = (
-            sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
-        )
-        (x0, y0, z0), (x1, y1, z1) = prism.bounding_box
-        ax = np.linspace(x0, x1, grid_n)
-        ay = np.linspace(y0, y1, grid_n)
-        az = np.linspace(z0, z1, grid_n)
-        gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
-        grid_pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        inside = np.array([prism.contains(p) for p in grid_pts])
-        grid_pts = grid_pts[inside]
-        values = mc_sim.connection_field(points, model, grid_pts)
-        header = ["x", "y", "z", "value"]
-        rows = [
-            [float(x), float(y), float(z), float(v)]
-            for (x, y, z), v in zip(grid_pts, values)
-        ]
+        points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
+        contains = prism.contains
+
+    model = _field_model(params, dim)
+    axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
+    grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    if contains is not None:
+        grid_pts = grid_pts[np.array([contains(p) for p in grid_pts])]
+    values = mc_sim.connection_field(points, model, grid_pts)
+    header = ["x", "y", "z"][:dim] + ["value"]
+    rows = [[*map(float, p), float(v)] for p, v in zip(grid_pts, values)]
     _write_output(args, header, rows)
     _write_manifest(args, "field", {**params, "rho": rho})
     return EXIT_OK
@@ -373,6 +368,21 @@ def _add_common(sub) -> None:
     sub.add_argument("--config", help="JSON file of parameters; flags win on conflict")
 
 
+def _add_prism_flags(sub, dimension: bool) -> None:
+    """The prism, path-loss and density flags of pfc, simulate and field."""
+    sub.add_argument("--prism", help="house | cube | path to a prism JSON file")
+    sub.add_argument(
+        "--L", dest="length", type=float, help="scale length of a house or cube preset"
+    )
+    sub.add_argument("--beta", type=float, help="path-loss scale beta")
+    sub.add_argument("--eta", type=float, help="path-loss exponent eta")
+    if dimension:
+        sub.add_argument("--d", type=int, help="spatial dimension")
+    sub.add_argument(
+        "--rho", help="node density; a start:stop:step or comma-list sweep (field takes one value)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prismconn",
@@ -385,28 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("siso", "simo", "mimo"))
     p.add_argument("--m", "--n", dest="k", help="diversity orders, e.g. 1..64 or 2,4,8")
     p.add_argument("--d", type=int, help="spatial dimension (1, 2, or 3)")
-    p.add_argument("--eta", help="path-loss exponents, comma separated")
+    p.add_argument("--eta", help="path-loss exponents: start:stop:step, a comma list or one value")
     p.add_argument("--beta", type=float)
     _add_common(p)
     p.set_defaults(func=cmd_mass)
 
     p = sub.add_parser("pfc", help="analytic connectivity probability curves")
-    p.add_argument("--prism", help="house | cube | path to a prism JSON file")
-    p.add_argument("--L", dest="length", type=float, help="preset scale length")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--rho", help="density grid start:stop:step or comma list")
+    _add_prism_flags(p, dimension=True)
     _add_common(p)
     p.set_defaults(func=cmd_pfc)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates across a density grid")
-    p.add_argument("--prism")
-    p.add_argument("--L", dest="length", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--rho")
+    _add_prism_flags(p, dimension=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--poisson", action="store_true", default=None,
@@ -415,15 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("field", help="connection-probability field of one realization")
-    p.add_argument("--square", type=float, help="side of a 2D square domain")
-    p.add_argument("--prism", help="3D prism preset or file (with --L)")
-    p.add_argument("--L", dest="length", type=float)
+    p.add_argument("--square", type=float, help="side of a 2D square domain (or use --prism)")
+    _add_prism_flags(p, dimension=False)
     p.add_argument("--model", choices=("siso", "simo", "mimo", "unitdisk"))
     p.add_argument("--m", "--n", dest="k", type=int, help="diversity order for simo/mimo")
     p.add_argument("--radius", type=float, help="unit-disk connection radius")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--rho", help="node density of the sampled realization")
     p.add_argument("--grid", type=int, help="grid points per axis")
     p.add_argument("--seed", type=int)
     _add_common(p)

@@ -56,11 +56,6 @@ def _require_supported(params: PathLossParams) -> None:
         )
 
 
-def _check_angle(theta: float) -> None:
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"opening angle must be in (0, pi), got {theta}")
-
-
 def _check_rho(rho: float) -> None:
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"node density must be a positive finite real, got {rho}")
@@ -78,56 +73,42 @@ def _face_factor(beta: float) -> float:
     return 2.0 * beta / (7.0 * math.pi)
 
 
+def _per_density(feature: BoundaryFeature, params: PathLossParams, rho: float) -> float:
+    """One feature's term without the overall density prefactor rho."""
+    _check_rho(rho)
+    return feature_contribution(feature, params).term(rho) / rho
+
+
 def corner_contribution(theta: float, params: PathLossParams, rho: float) -> float:
     """Outage integral of one corner of opening angle theta (before the
     overall density prefactor)."""
-    _require_supported(params)
-    _check_angle(theta)
-    _check_rho(rho)
-    rate = theta * homogeneous_mass_mimo2(params.beta)
-    return _corner_factor(theta, params.beta) / rho**3 * math.exp(-rho * rate)
+    return _per_density(BoundaryFeature(3, 1.0, theta, angle=theta), params, rho)
 
 
 def edge_contribution(
     theta: float, length: float, params: PathLossParams, rho: float
 ) -> float:
     """Outage integral of one edge of the given length and opening angle."""
-    _require_supported(params)
-    _check_angle(theta)
-    _check_rho(rho)
-    if length <= 0.0:
-        raise DomainError(f"edge length must be positive, got {length}")
+    value = _per_density(BoundaryFeature(2, length, 2.0 * theta, angle=theta), params, rho)
     if math.sqrt(params.beta) * length < _MIN_SCALE:
         warnings.warn(
             f"sqrt(beta) * edge length = {math.sqrt(params.beta) * length:.3g} is "
             "small; the edge expansion assumes it is large",
             stacklevel=2,
         )
-    rate = 2.0 * theta * homogeneous_mass_mimo2(params.beta)
-    return _edge_factor(theta, params.beta) * length / rho**2 * math.exp(-rho * rate)
+    return value
 
 
 def face_contribution(surface_area: float, params: PathLossParams, rho: float) -> float:
     """Outage integral of the full surface, via equivalence with a sphere
     of the same area (no per-face enumeration needed)."""
-    _require_supported(params)
-    _check_rho(rho)
-    if surface_area <= 0.0:
-        raise DomainError(f"surface area must be positive, got {surface_area}")
-    rate = 2.0 * math.pi * homogeneous_mass_mimo2(params.beta)
-    return _face_factor(params.beta) * surface_area / rho * math.exp(-rho * rate)
+    return _per_density(BoundaryFeature(1, surface_area, 2.0 * math.pi), params, rho)
 
 
 def bulk_contribution(volume: float, params: PathLossParams, rho: float) -> float:
     """Outage integral of the interior, via equivalence with a sphere of
     the same volume."""
-    _require_supported(params)
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"node density must be non-negative, got {rho}")
-    if volume <= 0.0:
-        raise DomainError(f"volume must be positive, got {volume}")
-    rate = 4.0 * math.pi * homogeneous_mass_mimo2(params.beta)
-    return volume * math.exp(-rho * rate)
+    return _per_density(BoundaryFeature(0, volume, 4.0 * math.pi), params, rho)
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,23 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
     assert run_cli(["mass", "--model", "simo", "--m", "1..x"]) == 2
     assert run_cli(["mass", "--model", "simo", "--eta", "2,q"]) == 2
     assert run_cli(["field", "--square", "5", "--rho", ",", "--seed", "1"]) == 2
-    for spec in ("0:1:nan", "0:inf:1", "nan:1:0.5", "-inf:1:1"):
+    assert run_cli(["mass", "--model", "simo", "--m", ","]) == 2
+    assert run_cli(["mass", "--model", "simo", "--m", "1..1000000000000"]) == 2
+    for spec in ("0:1:nan", "0:inf:1", "nan:1:0.5", "-inf:1:1", "0:1:1e-12"):
         assert run_cli(["pfc", "--rho", spec]) == 2
+    field = ["field", "--seed", "1", "--grid", "3"]
+    assert run_cli(field + ["--square", "5", "--rho", "0.3,0.9"]) == 2
+    assert run_cli(field + ["--square", "5", "--rho", "-0.5"]) == 2
+    assert run_cli(field + ["--square", "nan", "--rho", "0.3"]) == 2
+    assert run_cli(field + ["--square", "5", "--prism", "cube", "--L", "3", "--rho", "0.3"]) == 2
     config = tmp_path / "bad.json"
+    for command, params in (
+        ("pfc", {"rho": []}),
+        ("mass", {"model": "simo", "eta": []}),
+        ("field", {"square": 5, "seed": 1, "rho": []}),
+    ):
+        config.write_text(json.dumps(params), encoding="utf-8")
+        assert run_cli([command, "--config", str(config)]) == 2
     config.write_text(json.dumps({"rho": "x"}), encoding="utf-8")
     assert run_cli(["pfc", "--config", str(config)]) == 2
     config.write_text(json.dumps({"rho": 0.5, "length": "seven"}), encoding="utf-8")
@@ -188,6 +202,12 @@ def test_malformed_specs_raise_domain_error(token, good):
             _parse_grid(spec)
     with pytest.raises(DomainError):
         _parse_int_spec([good, token])
+    for spec in ([], ",", f"{good}..{good + 10**12}"):
+        with pytest.raises(DomainError):
+            _parse_int_spec(spec)
+    for spec in ([], f"{good}:{good + 1}:1e-12", f"{good}:1e300:1"):
+        with pytest.raises(DomainError):
+            _parse_grid(spec)
 
 
 def test_simulate_reproducible(tmp_path):
@@ -258,6 +278,20 @@ def test_field_prism_3d(tmp_path):
     header, rows = read_csv(out)
     assert header == ["x", "y", "z", "value"]
     assert len(rows) == 6 * 6 * 6  # cube: every lattice point is inside
+
+
+def test_field_prism_replays_from_manifest(tmp_path):
+    out1, manifest = tmp_path / "f.csv", tmp_path / "f.manifest.json"
+    rc = run_cli(
+        ["field", "--prism", "house", "--L", "3", "--rho", "0.5", "--model", "unitdisk",
+         "--radius", "1.2", "--grid", "7", "--seed", "4",
+         "--output", str(out1), "--manifest", str(manifest)]
+    )
+    assert rc == 0
+    assert json.loads(manifest.read_text())["parameters"]["square"] is None
+    out2 = tmp_path / "f2.csv"
+    assert run_cli(["field", "--config", str(manifest), "--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -338,6 +372,26 @@ def test_run_checks_registry():
     }
     results = run_checks(["exponent-rates"])
     assert results[0].passed
+
+
+COMMON_FLAGS = ("-h", "--help", "--output", "--format", "--manifest", "--config")
+FLAGS = {
+    "mass": ("--model", "--m", "--n", "--d", "--eta", "--beta"),
+    "pfc": ("--prism", "--L", "--beta", "--eta", "--d", "--rho"),
+    "simulate": ("--prism", "--L", "--beta", "--eta", "--d", "--rho",
+                 "--trials", "--seed", "--poisson"),
+    "field": ("--square", "--prism", "--L", "--model", "--m", "--n", "--radius",
+              "--beta", "--eta", "--rho", "--grid", "--seed"),
+    "validate": ("--check", "--perturb"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_every_flag(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    for flag in FLAGS[command] + COMMON_FLAGS:
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
 
 
 def test_stdout_output(capsys):

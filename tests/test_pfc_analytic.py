@@ -181,6 +181,8 @@ def test_capability_errors():
         assemble(house_prism(L), PARAMS, [0.0])
     with pytest.raises(DomainError):
         edge_contribution(PI / 2, -1.0, PARAMS, 1.0)
+    with pytest.raises(DomainError):
+        bulk_contribution(1.0, PARAMS, 0.0)
 
 
 def test_feature_table_house():
