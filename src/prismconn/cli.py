@@ -44,6 +44,7 @@ def _cast(kind, value, where: str):
 
 
 _MAX_VALUES = 10**6  # longest range a spec may expand to
+_MAX_GRID_POINTS = 10**7  # largest field lattice; admits the default 200^3
 
 
 def _nonempty(values: list, spec) -> list:
@@ -334,6 +335,11 @@ def cmd_field(args) -> int:
         points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
         contains = prism.contains
 
+    if grid_n**dim > _MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid {grid_n} makes {grid_n**dim} points in {dim} dimensions, "
+            f"more than {_MAX_GRID_POINTS}"
+        )
     model = _field_model(params, dim)
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
     grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _LINK_PROB_FLOOR = 1e-12  # pairs with H below this are treated as unlinked
+# Past this order H is still above the floor where e^-x leaves the normal
+# doubles (x > 708), so specfun.poisson_head loses its precision there.
+_MIMO_MAX_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,10 @@ class Mimo:
                 f"MIMO links require min(n_t, n_r) == 2, got ({self.n_t}, {self.n_r}); "
                 "use SimoMiso when one side has a single antenna"
             )
+        if self.n > _MIMO_MAX_ORDER:
+            raise CapabilityError(
+                f"MIMO H is implemented for max(n_t, n_r) <= {_MIMO_MAX_ORDER}, got {self.n}"
+            )
 
     @property
     def n(self) -> int:
@@ -120,15 +127,18 @@ class Mimo:
     diversity = n
 
     def h(self, r):
+        # 1 - n P(n-1, x) P(n+1, x) + (n-1) P(n, x)^2 in closed form:
+        # H = A(2 - A) + u((x + 2 - n)(1 - A) + (n - 1)u), with A = Q(n-1, x)
+        # and u = e^-x x^(n-1) / (n-1)!; no cancellation in the tail.
         x = self.params.x(r)
-        n = float(self.n)  # a float order skips scipy's int-to-float cast per call
-        p = specfun.regularized_lower_gamma
-        h = 1.0 - n * p(n - 1.0, x) * p(n + 1.0, x)
-        # In place, so no more than three arrays are live; a scalar just rebinds.
-        square = p(n, x)
-        square *= square
-        square *= n - 1.0
-        h += square
+        a, u = specfun.poisson_head(self.n - 1, x)
+        # Built in x's array in place; a scalar just rebinds, in the same order.
+        h = x
+        h += 2.0 - self.n
+        h *= 1.0 - a
+        h += (self.n - 1.0) * u
+        h *= u
+        h += a * (2.0 - a)
         return _clamp01(h)
 
 

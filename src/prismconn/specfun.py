@@ -1,7 +1,8 @@
 """Special functions backing every connectivity formula.
 
 Log-gamma, the regularized/unregularized incomplete gamma functions, the
-Gauss hypergeometric function on z in [-1, 0], and the error function.
+Poisson head sum behind integer-order upper gammas, the Gauss
+hypergeometric function on z in [-1, 0], and the error function.
 The incomplete gammas are thin wrappers over `scipy.special` that accept a
 scalar or an array of x; gamma magnitudes are handled in log space so only
 final results can overflow.
@@ -25,6 +26,7 @@ __all__ = [
     "erf",
     "gauss_2f1",
     "log_gamma",
+    "poisson_head",
     "regularized_lower_gamma",
     "regularized_upper_gamma",
     "upper_incomplete_gamma",
@@ -49,13 +51,16 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
-def _check_gamma_args(a: float, x) -> None:
+def _x_ok(x) -> bool:
+    """Whether every x is finite and non-negative."""
     if isinstance(x, np.ndarray):
         # reductions, not elementwise masks: no temporaries; NaN fails both
-        x_ok = x.size == 0 or bool(x.min() >= 0.0 and x.max() < math.inf)
-    else:
-        x_ok = math.isfinite(x) and x >= 0.0
-    if not (math.isfinite(a) and a > 0.0 and x_ok):
+        return x.size == 0 or bool(x.min() >= 0.0 and x.max() < math.inf)
+    return math.isfinite(x) and x >= 0.0
+
+
+def _check_gamma_args(a: float, x) -> None:
+    if not (math.isfinite(a) and a > 0.0 and _x_ok(x)):
         raise DomainError(
             f"incomplete gamma requires finite a > 0 and finite x >= 0, got a={a}, x={x}"
         )
@@ -85,6 +90,35 @@ def upper_incomplete_gamma(a: float, x):
     if np.any(log_val > _LOG_DBL_MAX):
         raise OverflowError(f"Gamma({a}, {x}) exceeds the double-precision range")
     return np.exp(log_val)
+
+
+def poisson_head(k: int, x):
+    """(P[X < k], P[X = k]) for X ~ Poisson(x), scalar or array x.
+
+    The first is Q(k, x) = e^-x sum_{j<k} x^j / j!, the regularized upper
+    gamma at integer order k; the second is the next term e^-x x^k / k!.
+    One exp per element, then the terms' forward recursion, all positive,
+    so both are accurate to a few ulp while e^-x is a normal double
+    (x < 708).  A scalar runs the same IEEE operations in the same order as
+    an array element (augmented assignments rebind it), so the two agree
+    bit for bit.
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 0 and _x_ok(x)):
+        raise DomainError(
+            f"poisson_head requires integer k >= 0 and finite x >= 0, got k={k}, x={x}"
+        )
+    if isinstance(x, np.ndarray):
+        term = np.exp(-x)
+        head = np.zeros_like(term)
+    else:
+        x = float(x)
+        term = float(np.exp(-x))
+        head = 0.0
+    for j in range(1, k + 1):
+        head += term
+        term *= x
+        term /= j
+    return head, term
 
 
 def _hyp_series(p: float, q: float, c: float, w: float) -> float:

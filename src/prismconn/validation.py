@@ -7,7 +7,6 @@ the exponent-rate check as a negative control.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -87,22 +86,9 @@ def brute_force_connectivity_probability(h_matrix: np.ndarray) -> float:
     return total
 
 
-def _poisson_mimo_h(n: int, x: float) -> float:
-    """MIMO H from P(a, x) = 1 - e^-x sum_{k<a} x^k / k! at integer orders.
-
-    Uses no incomplete-gamma routine, so it also checks the scipy-backed
-    wrappers that the three library forms share.
-    """
-    sums = [0.0]  # sums[a] = sum_{k<a} x^k / k!
-    term = 1.0
-    for k in range(n + 1):
-        sums.append(sums[-1] + term)
-        term *= x / (k + 1)
-    p = [1.0 - math.exp(-x) * s for s in sums]
-    return 1.0 - n * p[n - 1] * p[n + 1] + (n - 1) * p[n] * p[n]
-
-
 def _check_cross_form_h() -> CheckResult:
+    # The production H is the scipy-free Poisson closed form; the
+    # determinant and gamma forms go through scipy's incomplete gammas.
     worst = 0.0
     for n in (2, 4, 6, 8):
         for beta in (0.5, 1.0, 2.0):
@@ -114,8 +100,7 @@ def _check_cross_form_h() -> CheckResult:
                     a = pair_connectedness(model, r)
                     b = pair_connectedness_mimo_det(2, n, params, r)
                     c = mimo_gamma_form(n, params, r)
-                    d = _poisson_mimo_h(n, beta * r**eta)
-                    worst = max(worst, abs(a - b), abs(a - c), abs(a - d))
+                    worst = max(worst, abs(a - b), abs(a - c))
     return CheckResult(
         "cross-form-h", worst < 1e-10, f"max abs divergence {worst:.3e}"
     )

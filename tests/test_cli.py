@@ -2,12 +2,19 @@
 
 import csv
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prismconn
 from prismconn.cli import _parse_grid, _parse_int_spec, main
 from prismconn.errors import DomainError
 from prismconn.validation import CHECK_NAMES, run_checks
@@ -278,6 +285,27 @@ def test_field_prism_3d(tmp_path):
     header, rows = read_csv(out)
     assert header == ["x", "y", "z", "value"]
     assert len(rows) == 6 * 6 * 6  # cube: every lattice point is inside
+
+
+def test_field_grid_is_capped():
+    field = ["field", "--rho", "0.3", "--seed", "1"]
+    assert run_cli(field + ["--square", "5", "--grid", "3163"]) == 2  # just over 10^7
+    assert run_cli(field + ["--prism", "cube", "--L", "3", "--grid", "216"]) == 2
+    # 10^10 points: rejected before any lattice is built, under a 1.5 GB
+    # address-space cap that the lattice's first array alone would break
+    src = str(Path(prismconn.__file__).resolve().parent.parent)
+    code = "import sys; from prismconn.cli import main; sys.exit(main(sys.argv[1:]))"
+    limit = 1536 * 2**20
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *field, "--square", "5", "--grid", "100000"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "more than 10000000" in proc.stderr and "Traceback" not in proc.stderr
+    assert time.monotonic() - start < 30.0
 
 
 def test_field_prism_replays_from_manifest(tmp_path):

@@ -17,6 +17,7 @@ from prismconn.linkmodels import (
     pair_connectedness,
     pair_connectedness_many,
     pair_connectedness_mimo_det,
+    support_radius,
 )
 
 P3 = PathLossParams(1.0, 2.0, 3)
@@ -35,6 +36,9 @@ def test_params_validation():
         Mimo(3, 3, P3)
     with pytest.raises(CapabilityError):
         Mimo(1, 4, P3)
+    with pytest.raises(CapabilityError):
+        Mimo(2, 513, P3)  # past the order where the Poisson form stays exact
+    assert Mimo(512, 2, P3).n == 512
 
 
 def test_siso_point_values():
@@ -206,6 +210,8 @@ def test_vectorized_matches_scalar():
         SimoMiso(1, P3),
         SimoMiso(5, PathLossParams(0.5, 3.0, 2)),
         Mimo(2, 4, PathLossParams(2.0, 2.0, 3)),
+        Mimo(2, 2, P3),
+        Mimo(2, 64, PathLossParams(1.0, 3.0, 3)),
         UnitDisk(1.5, P3),
     ]
     with mpmath.workdps(30):
@@ -215,3 +221,28 @@ def test_vectorized_matches_scalar():
             np.testing.assert_array_equal(vec, scalar)
             oracle = np.array([float(mpmath_h(model, r)) for r in rs])
             np.testing.assert_allclose(vec, oracle, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+def test_mimo_h_against_mpmath(eta):
+    # x from 0 past the tail where H < 1e-12, for orders 2..64
+    with mpmath.workdps(30):
+        for n in (2, 3, 4, 5, 8, 13, 21, 34, 55, 64):
+            model = Mimo(2, n, PathLossParams(1.0, eta, 3))
+            rs = np.linspace(0.0, (2.0 * n + 60.0) ** (1.0 / eta), 80)
+            h = pair_connectedness_many(model, rs)
+            oracle = np.array([float(mpmath_h(model, r)) for r in rs])
+            np.testing.assert_allclose(h, oracle, rtol=0.0, atol=1e-14)
+            above = oracle >= 1e-12
+            assert above.sum() > 40 and (~above).sum() > 0
+            np.testing.assert_allclose(h[above], oracle[above], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+@pytest.mark.parametrize("beta, eta", [(1.0, 2.0), (0.5, 3.0)])
+def test_mimo_support_radius_sits_at_the_floor(n, beta, eta):
+    # H at the support radius is the floor itself, not a tail-rounding error off it
+    model = Mimo(2, n, PathLossParams(beta, eta, 3))
+    with mpmath.workdps(30):
+        h = mpmath_h(model, support_radius(model))
+    assert abs(float(h) / 1e-12 - 1.0) < 1e-10

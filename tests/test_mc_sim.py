@@ -19,6 +19,7 @@ from prismconn.linkmodels import (
 from prismconn.mc_sim import (
     McConfig,
     UnionFind,
+    _trial_rng,
     connection_field,
     connectivity_check,
     edge_resampling_estimate,
@@ -107,6 +108,56 @@ def test_connectivity_check_examples():
     assert connectivity_check(1, []) == (True, 1)
     with pytest.raises(IndexError):
         connectivity_check(3, [(0, 3)])
+    # the bad edge comes after the graph is already one component
+    with pytest.raises(IndexError):
+        connectivity_check(3, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(IndexError):
+        connectivity_check(3, iter([(0, 1), (1, 2), (-1, 0)]))
+    with pytest.raises(IndexError):
+        connectivity_check(3, np.array([(0, 1), (1, 2), (2, 3)]))
+    assert connectivity_check(4, np.array([(0, 1), (2, 3)])) == (False, 2)
+    assert connectivity_check(2, np.empty((0, 2), dtype=int)) == (False, 2)
+
+
+def reference_trial(config, index):
+    """One trial the direct way: every pair's distance by norm, every
+    component by BFS, no short-cut; same streams and cutoff as run_trial."""
+    rng = _trial_rng(config.seed, index)
+    n = int(rng.poisson(config.node_count)) if config.poisson else config.node_count
+    if n == 0:
+        return True, 0
+    points = sample_uniform_rng(config.prism, n, rng)
+    ii, jj = np.triu_indices(n, k=1)
+    dists = np.linalg.norm(points[ii] - points[jj], axis=1)
+    near = ~(dists > config.cutoff)
+    h = pair_connectedness_many(config.model, dists[near])
+    linked = rng.random(h.size) < h
+    edges = list(zip(ii[near][linked].tolist(), jj[near][linked].tolist()))
+    degree = np.zeros(n, dtype=int)
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    return bfs_component_count(n, edges) == 1, int((degree == 0).sum())
+
+
+def test_run_trial_matches_reference_trial():
+    configs = [
+        McConfig(cube_prism(1.0), Siso(P3), node_count=1, trials=10, seed=4),
+        McConfig(cube_prism(2.0), Siso(P3), node_count=2, trials=20, seed=5),
+        McConfig(cube_prism(2.0), Siso(P3), node_count=2, trials=50, seed=6, poisson=True),
+        McConfig(house_prism(4.0), Mimo(2, 2, P3), node_count=40, trials=60, seed=77),
+        McConfig(
+            house_prism(7.0), Mimo(2, 2, P3), node_count=120, trials=60, seed=8, poisson=True
+        ),
+    ]
+    sizes = set()
+    for config in configs:
+        for t in range(config.trials):
+            assert run_trial(config, t) == reference_trial(config, t), (config, t)
+            rng = _trial_rng(config.seed, t)
+            sizes.add(int(rng.poisson(config.node_count)) if config.poisson else config.node_count)
+    assert sum(c.trials for c in configs) == 200
+    assert {0, 1, 2} <= sizes
 
 
 def test_union_find_against_bfs():

@@ -9,6 +9,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from prismconn.errors import DomainError
@@ -16,6 +18,7 @@ from prismconn.specfun import (
     erf,
     gauss_2f1,
     log_gamma,
+    poisson_head,
     regularized_lower_gamma,
     regularized_upper_gamma,
     upper_incomplete_gamma,
@@ -211,6 +214,39 @@ def test_incomplete_gammas_take_arrays():
                 fn(3.0, bad)
     with pytest.raises(OverflowError):
         upper_incomplete_gamma(200.0, np.array([0.0, 1.0]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 64),
+    st.lists(
+        st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 150.0), st.floats(0.0, 700.0)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_poisson_head_against_mpmath(k, xs):
+    head, term = poisson_head(k, np.array(xs))
+    with mpmath.workdps(30):
+        for x, got_head, got_term in zip(xs, head, term):
+            x_mp = mpmath.mpf(x)
+            ref_term = mpmath.exp(-x_mp) * x_mp**k / mpmath.factorial(k)
+            ref_head = mpmath.gammainc(k, x_mp, mpmath.inf, regularized=True) if k else 0
+            # all-positive sums: relative accuracy, down to the subnormal range
+            assert abs(got_head - ref_head) <= 1e-13 * ref_head + 1e-300
+            assert abs(got_term - ref_term) <= 1e-13 * ref_term + 1e-300
+            assert poisson_head(k, x) == (got_head, got_term)  # scalar bitwise
+
+
+def test_poisson_head_values_and_domain():
+    e = np.exp(-np.array([2.0, 0.5, 1.0])).tolist()  # the exp the helper uses
+    assert poisson_head(0, 2.0) == (0.0, e[0])
+    assert poisson_head(3, 0.0) == (1.0, 0.0)
+    head, term = poisson_head(1, np.array([0.5, 1.0]))
+    assert head.tolist() == e[1:]
+    assert term.tolist() == [0.5 * e[1], e[2]]
+    for k, x in ((-1, 1.0), (2.5, 1.0), (2, -0.5), (2, math.nan), (2, np.array([1.0, math.inf]))):
+        with pytest.raises(DomainError):
+            poisson_head(k, x)
 
 
 def test_gauss_2f1_contiguous_relation():
