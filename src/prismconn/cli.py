@@ -45,6 +45,7 @@ def _cast(kind, value, where: str):
 
 _MAX_VALUES = 10**6  # longest range a spec may expand to
 _MAX_GRID_POINTS = 10**7  # largest field lattice; admits the default 200^3
+_MAX_FIELD_NODES = 10**6  # most nodes a field realization may draw
 
 
 def _nonempty(values: list, spec) -> list:
@@ -299,6 +300,15 @@ def _field_model(params: dict, dim: int):
     raise DomainError(f"field supports models siso|simo|mimo|unitdisk, got {kind!r}")
 
 
+def _field_node_count(expected: float) -> int:
+    """round(expected), refused before any node is drawn when it is too many."""
+    if not expected <= _MAX_FIELD_NODES:
+        raise DomainError(
+            f"field would draw {expected:.6g} nodes, more than {_MAX_FIELD_NODES}"
+        )
+    return round(expected)
+
+
 def cmd_field(args) -> int:
     defaults = {
         "square": None, "prism": None, "length": None, "model": "siso",
@@ -326,14 +336,14 @@ def cmd_field(args) -> int:
         if not (math.isfinite(side) and side > 0.0):
             raise DomainError(f"square side must be a positive finite real, got {side}")
         dim, lo, hi = 2, (0.0, 0.0), (side, side)
-        points = rng.random((round(rho * side * side), 2)) * side
-        contains = None
+        points = rng.random((_field_node_count(rho * side * side), 2)) * side
+        inside = None
     else:
         prism = _build_prism(params)
         dim, (lo, hi) = 3, prism.bounding_box
-        count = round(rho * prism.volume)
+        count = _field_node_count(rho * prism.volume)
         points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
-        contains = prism.contains
+        inside = prism.contains_many
 
     if grid_n**dim > _MAX_GRID_POINTS:
         raise DomainError(
@@ -343,11 +353,11 @@ def cmd_field(args) -> int:
     model = _field_model(params, dim)
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
     grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    if contains is not None:
-        grid_pts = grid_pts[np.array([contains(p) for p in grid_pts])]
+    if inside is not None:
+        grid_pts = grid_pts[inside(grid_pts)]
     values = mc_sim.connection_field(points, model, grid_pts)
     header = ["x", "y", "z"][:dim] + ["value"]
-    rows = [[*map(float, p), float(v)] for p, v in zip(grid_pts, values)]
+    rows = np.column_stack((grid_pts, values)).tolist()
     _write_output(args, header, rows)
     _write_manifest(args, "field", {**params, "rho": rho})
     return EXIT_OK

@@ -126,18 +126,21 @@ class RightPrism:
         ys = [v[1] for v in self.base_vertices]
         return (min(xs), min(ys), 0.0), (max(xs), max(ys), self.height)
 
-    def contains(self, point) -> bool:
-        x, y, z = (float(c) for c in point)
-        if not 0.0 <= z <= self.height:
-            return False
+    def contains_many(self, points) -> np.ndarray:
+        """Boolean mask of the rows of a (k, 3) array that lie in the prism.
+
+        Boundary points are inside; a point with a NaN coordinate is not,
+        because each test asks for `>= 0.0` rather than rejecting `< 0.0`.
+        """
+        x, y, z = np.asarray(points, dtype=float).T
+        inside = (z >= 0.0) & (z <= self.height)
         verts = self.base_vertices
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0:
-                return False
-        return True
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            inside &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0
+        return inside
+
+    def contains(self, point) -> bool:
+        return bool(self.contains_many([point])[0])
 
 
 @dataclass(frozen=True)

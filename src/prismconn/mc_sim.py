@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import DomainError
 from .geometry import RightPrism, sample_uniform_rng
@@ -39,6 +39,12 @@ _EXACT_MAX_NODES = 12
 # Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
 # uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
 _RESAMPLE_CHUNK_BYTES = 10_000_000
+# Bytes a trial's condensed pair-distance table may take (8 per pair); the
+# mask, indices and H of the pairs in range take several times more.
+_PAIR_TABLE_BYTES = 100_000_000
+# Grid-node pairs per block of a connection field: the distances, H and the
+# MIMO H's temporaries (about six float64 arrays, 0.75 MB) stay in L2 cache.
+_FIELD_BLOCK_PAIRS = 16_384
 
 Z_95 = 1.959963984540054
 Z_99 = 2.5758293035489004
@@ -132,6 +138,12 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise DomainError(f"node_count must be >= 1, got {self.node_count}")
+        table = 8 * (self.node_count * (self.node_count - 1) // 2)
+        if table > _PAIR_TABLE_BYTES:
+            raise DomainError(
+                f"node_count {self.node_count} needs a {table / 1e6:.0f} MB pair table "
+                f"per trial, more than {_PAIR_TABLE_BYTES / 1e6:.0f} MB"
+            )
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -350,10 +362,9 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
             f"points are {pts.shape[1]}-dimensional but grid is {grid.shape[1]}-dimensional"
         )
     values = np.empty(len(grid))
-    chunk = max(1, 2_000_000 // max(1, len(pts)))
-    for start in range(0, len(grid), chunk):
-        block = grid[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        h = pair_connectedness_many(model, d.ravel()).reshape(d.shape)
-        values[start : start + len(block)] = 1.0 - np.prod(1.0 - h, axis=1)
+    rows = max(1, _FIELD_BLOCK_PAIRS // len(pts))
+    for start in range(0, len(grid), rows):
+        h = pair_connectedness_many(model, cdist(grid[start : start + rows], pts))
+        miss = np.subtract(1.0, h, out=h)
+        values[start : start + len(miss)] = 1.0 - np.prod(miss, axis=1)
     return values

@@ -287,25 +287,54 @@ def test_field_prism_3d(tmp_path):
     assert len(rows) == 6 * 6 * 6  # cube: every lattice point is inside
 
 
-def test_field_grid_is_capped():
-    field = ["field", "--rho", "0.3", "--seed", "1"]
-    assert run_cli(field + ["--square", "5", "--grid", "3163"]) == 2  # just over 10^7
-    assert run_cli(field + ["--prism", "cube", "--L", "3", "--grid", "216"]) == 2
-    # 10^10 points: rejected before any lattice is built, under a 1.5 GB
-    # address-space cap that the lattice's first array alone would break
+def run_cli_capped(argv):
+    """The CLI in a subprocess under a 1.5 GB address-space cap; (result, seconds)."""
     src = str(Path(prismconn.__file__).resolve().parent.parent)
     code = "import sys; from prismconn.cli import main; sys.exit(main(sys.argv[1:]))"
     limit = 1536 * 2**20
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", code, *field, "--square", "5", "--grid", "100000"],
+        [sys.executable, "-c", code, *argv],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+    return proc, time.monotonic() - start
+
+
+def test_field_grid_is_capped():
+    field = ["field", "--rho", "0.3", "--seed", "1"]
+    assert run_cli(field + ["--square", "5", "--grid", "3163"]) == 2  # just over 10^7
+    assert run_cli(field + ["--prism", "cube", "--L", "3", "--grid", "216"]) == 2
+    # 10^10 points: rejected before any lattice is built, under a 1.5 GB
+    # address-space cap that the lattice's first array alone would break
+    proc, seconds = run_cli_capped(field + ["--square", "5", "--grid", "100000"])
     assert proc.returncode == 2, proc.stderr
     assert "more than 10000000" in proc.stderr and "Traceback" not in proc.stderr
-    assert time.monotonic() - start < 30.0
+    assert seconds < 30.0
+
+
+def test_field_node_count_is_capped():
+    field = ["field", "--seed", "1", "--grid", "2"]
+    assert run_cli(field + ["--square", "1000", "--rho", "1.000001"]) == 2  # just over 10^6
+    assert run_cli(field + ["--prism", "cube", "--L", "100", "--rho", "1.000001"]) == 2
+    assert run_cli(field + ["--square", "1e200", "--rho", "1e200"]) == 2  # overflows to inf
+    # 10^12 nodes: rejected before any node is drawn (14.6 TiB of coordinates)
+    proc, seconds = run_cli_capped(field + ["--square", "1e6", "--rho", "1"])
+    assert proc.returncode == 2, proc.stderr
+    assert "more than 1000000" in proc.stderr and "Traceback" not in proc.stderr
+    assert seconds < 30.0
+
+
+def test_simulate_node_count_is_capped():
+    # About 51 000 nodes: a 10 GB pair table per trial
+    proc, seconds = run_cli_capped(
+        ["simulate", "--prism", "house", "--L", "7", "--rho", "120", "--trials", "1",
+         "--seed", "1"]
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "pair table" in proc.stderr and "Traceback" not in proc.stderr
+    assert seconds < 30.0
 
 
 def test_field_prism_replays_from_manifest(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from prismconn.errors import DomainError, InvalidPrismError
@@ -23,6 +25,9 @@ from prismconn.geometry import (
 )
 
 SQRT2 = math.sqrt(2.0)
+NAN = float("nan")
+
+fast = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def feature_census(features):
@@ -137,6 +142,129 @@ def test_invalid_prisms_rejected():
         RightPrism(((0, 0), (1, 0), (2, 0), (1, 1)), 1.0)  # collinear (angle pi)
     with pytest.raises(InvalidPrismError):
         RightPrism(((0, 0), (1, 0), (float("nan"), 1)), 1.0)
+
+
+def inside_reference(prism, point):
+    """One point against each half-plane; a NaN comparison counts as outside."""
+    x, y, z = point
+    if not (z >= 0.0 and z <= prism.height):
+        return False
+    verts = prism.base_vertices
+    return all(
+        (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])
+    )
+
+
+def test_contains_rejects_nan_coordinates():
+    house = house_prism(7.0)
+    assert house.contains((1.0, 1.0, 1.0))
+    for point in [(NAN, 1.0, 1.0), (1.0, NAN, 1.0), (NAN, NAN, 1.0), (1.0, 1.0, NAN)]:
+        assert not house.contains(point)
+    assert house.contains_many([(NAN, 1.0, 1.0), (1.0, 1.0, 1.0)]).tolist() == [False, True]
+
+
+def test_contains_rejects_malformed_points():
+    with pytest.raises(ValueError):
+        house_prism(7.0).contains((1.0, 1.0))
+
+
+def _probe_points(prism):
+    """Points on which the membership test is decided at or near equality."""
+    verts = prism.base_vertices
+    h = prism.height
+    special = [(x, y, z) for x, y in verts for z in (0.0, h, 0.5 * h)]
+    special += [
+        (0.5 * (ax + bx), 0.5 * (ay + by), z)
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])
+        for z in (0.0, h)
+    ]
+    special += [(*verts[0], z) for z in (-1e-300, h * (1.0 + 2.0**-52), NAN)]
+    return special
+
+
+@fast
+@given(
+    prism=st.builds(house_prism, st.floats(0.5, 20.0))
+    | st.builds(cube_prism, st.floats(0.5, 20.0)),
+    unit=st.lists(
+        st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
+        max_size=40,
+    ),
+    picks=st.lists(st.integers(0, 10**6), max_size=20),
+    nan_rows=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=6),
+)
+def test_contains_many_agrees_point_by_point(prism, unit, picks, nan_rows):
+    (x0, y0, z0), (x1, y1, z1) = prism.bounding_box
+    points = [(x0 + u * (x1 - x0), y0 + v * (y1 - y0), z0 + w * (z1 - z0)) for u, v, w in unit]
+    special = _probe_points(prism)
+    points += [special[k % len(special)] for k in picks]
+    points += [
+        tuple(NAN if flag else c for flag, c in zip(flags, (1.0, 1.0, 1.0)))
+        for flags in nan_rows
+    ]
+    array = np.array(points, dtype=float).reshape(-1, 3)
+    mask = prism.contains_many(array)
+    assert mask.dtype == bool and mask.shape == (len(array),)
+    assert mask.tolist() == [prism.contains(p) for p in array]
+    assert mask.tolist() == [inside_reference(prism, p) for p in array]
+
+
+@st.composite
+def convex_bases(draw):
+    """Counter-clockwise strictly convex polygons inscribed in a circle.
+
+    Gaps between consecutive vertex angles stay below pi, so the circle's
+    centre is strictly inside and every turn is strictly convex.
+    """
+    k = draw(st.integers(3, 9))
+    weights = draw(st.lists(st.floats(1.0, 1.9), min_size=k, max_size=k))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    radius = draw(st.floats(0.1, 100.0))
+    cx, cy = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    total = sum(weights)
+    angles = [phase + 2.0 * math.pi * sum(weights[:i]) / total for i in range(k)]
+    return [
+        (radius * (cx + math.cos(a)), radius * (cy + math.sin(a))) for a in angles
+    ]
+
+
+@fast
+@given(base=convex_bases(), height=st.floats(0.1, 10.0), shift=st.integers(0, 8))
+def test_convex_counter_clockwise_bases_are_accepted(base, height, shift):
+    shift %= len(base)
+    prism = RightPrism(tuple(base[shift:] + base[:shift]), height)
+    assert prism.n_sides == len(base)
+    assert prism.base_area > 0.0
+
+
+@fast
+@given(base=convex_bases(), height=st.floats(0.1, 10.0), shift=st.integers(0, 8))
+def test_clockwise_bases_are_rejected(base, height, shift):
+    shift %= len(base)
+    clockwise = base[::-1]
+    with pytest.raises(InvalidPrismError):
+        RightPrism(tuple(clockwise[shift:] + clockwise[:shift]), height)
+
+
+@fast
+@given(
+    base=convex_bases(),
+    height=st.floats(0.1, 10.0),
+    edge=st.integers(0, 8),
+    depth=st.floats(0.0, 0.95),
+)
+def test_non_convex_bases_are_rejected(base, height, edge, depth):
+    # A vertex on an edge (depth 0) or pushed from the edge's midpoint towards
+    # the centroid makes a straight or reflex turn.
+    edge %= len(base)
+    (ax, ay), (bx, by) = base[edge], base[(edge + 1) % len(base)]
+    cx = sum(x for x, _ in base) / len(base)
+    cy = sum(y for _, y in base) / len(base)
+    mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+    dent = (mx + depth * (cx - mx), my + depth * (cy - my))
+    with pytest.raises(InvalidPrismError):
+        RightPrism(tuple(base[: edge + 1] + [dent] + base[edge + 1 :]), height)
 
 
 def test_sampling_determinism():

@@ -10,6 +10,7 @@ from prismconn.geometry import cube_prism, house_prism, sample_uniform_rng
 from prismconn.linkmodels import (
     Mimo,
     PathLossParams,
+    SimoMiso,
     Siso,
     UnitDisk,
     pair_connectedness,
@@ -17,6 +18,8 @@ from prismconn.linkmodels import (
     support_radius,
 )
 from prismconn.mc_sim import (
+    _FIELD_BLOCK_PAIRS,
+    _PAIR_TABLE_BYTES,
     McConfig,
     UnionFind,
     _trial_rng,
@@ -33,6 +36,7 @@ from prismconn.validation import (
     brute_force_connectivity_probability,
 )
 
+P2 = PathLossParams(1.0, 2.0, 2)
 P3 = PathLossParams(1.0, 2.0, 3)
 
 
@@ -99,6 +103,13 @@ def test_config_validation():
         McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=10, seed=-2)
     config = McConfig.from_density(cube_prism(2.0), Siso(P3), rho=1.5, trials=10, seed=1)
     assert config.node_count == 12
+    # The condensed pair table of 5000 nodes fits the budget, of 5001 it does not.
+    assert 8 * (5000 * 4999 // 2) <= _PAIR_TABLE_BYTES < 8 * (5001 * 5000 // 2)
+    assert McConfig(cube_prism(1.0), Siso(P3), node_count=5000, trials=1, seed=1)
+    with pytest.raises(DomainError, match="pair table"):
+        McConfig(cube_prism(1.0), Siso(P3), node_count=5001, trials=1, seed=1)
+    with pytest.raises(DomainError, match="pair table"):
+        McConfig.from_density(house_prism(7.0), Siso(P3), rho=120.0, trials=1, seed=1)
     assert config.cutoff == support_radius(Siso(P3))
 
 
@@ -323,6 +334,45 @@ def test_connection_field_lower_bound():
         )
         assert v >= best - 1e-12
         assert 0.0 <= v <= 1.0
+
+
+def reference_field(points, model, grid):
+    """The field by broadcast differences and `norm` over 2M-element blocks."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.empty(len(grid))
+    chunk = max(1, 2_000_000 // len(pts))
+    for start in range(0, len(grid), chunk):
+        block = grid[start : start + chunk]
+        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+        h = pair_connectedness_many(model, d.ravel()).reshape(d.shape)
+        values[start : start + len(block)] = 1.0 - np.prod(1.0 - h, axis=1)
+    return values
+
+
+@pytest.mark.parametrize(
+    "model, nodes, grid_count",
+    [
+        (Siso(P2), 150, 1000),
+        (Mimo(2, 2, P3), 120, 900),
+        (SimoMiso(3, PathLossParams(0.7, 3.0, 3)), 90, 777),
+        (UnitDisk(1.2, P2), 60, 641),
+        (Siso(P2), 1, 300),
+        (Siso(P2), _FIELD_BLOCK_PAIRS + 3, 5),  # blocks of one grid row
+    ],
+)
+def test_connection_field_matches_reference(model, nodes, grid_count):
+    dim = model.params.dim
+    rng = np.random.default_rng(nodes + grid_count)
+    pts = rng.random((nodes, dim)) * 6.0
+    grid = rng.random((grid_count, dim)) * 6.0
+    if isinstance(model, UnitDisk):
+        grid[:nodes, 0] = pts[:, 0] + model.radius  # distances at or next to the radius
+        grid[:nodes, 1:] = pts[:, 1:]
+    rows = max(1, _FIELD_BLOCK_PAIRS // nodes)
+    assert grid_count % rows != 0 or rows == 1  # a short last block
+    values = connection_field(pts, model, grid)
+    assert values.tobytes() == reference_field(pts, model, grid).tobytes()
 
 
 def test_connection_field_dimension_mismatch():
