@@ -4,10 +4,11 @@ Trials draw a fixed number of uniform node positions in a prism, realize
 each link independently with probability H(distance), and test whether the
 resulting graph is one component.  Per-trial random streams are derived
 from (seed, trial index) through a splittable generator, so results do not
-depend on how trials are scheduled across workers.  A memoized
-subset-recursion oracle gives the exact connectivity probability for small
-fixed configurations, and the connection-probability field of a node set
-can be evaluated on arbitrary grids.
+depend on how trials are scheduled across workers.  A subset-recursion
+oracle, tabulated over bitmasks one subset size at a time, gives the exact
+connectivity probability for small fixed configurations, and the
+connection-probability field of a node set can be evaluated on arbitrary
+grids.
 """
 
 from __future__ import annotations
@@ -257,8 +258,11 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
 
     Subset recursion on the component containing the lowest-index node:
     f(S) = 1 - sum over proper subsets T of S containing that node of
-    f(T) * prod of (1 - H_ij) across the (T, S - T) cut; memoized over
-    bitmasks, so the cost is exponential and the node count is capped.
+    f(T) * prod of (1 - H_ij) across the (T, S - T) cut; tabulated over
+    bitmasks, so the cost grows as 3^n and the node count is capped (at 12
+    nodes the largest level holds 62 865 (S, T) pairs, a 3.5 MB peak).  The
+    sum cancels to rounding error when the nodes cannot connect, so the
+    result is clipped to [0, 1].
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -277,33 +281,35 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
 
     # miss[i][mask] = prod over j in mask of (1 - H_ij), one bit at a time:
     # the masks with top bit b are those below 1 << b times 1 - H_ib.
+    # popcount[mask] grows the same way.
     miss = np.ones((n, 1 << n))
+    popcount = np.zeros(1 << n, dtype=np.intp)
     for b in range(n):
         miss[:, 1 << b : 2 << b] = miss[:, : 1 << b] * q[:, b : b + 1]
-    miss = miss.tolist()
+        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
 
-    full = (1 << n) - 1
-    f = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        if mask & (mask - 1) == 0:
-            f[mask] = 1.0
-            continue
-        anchor = mask & -mask
-        prob = 1.0
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & anchor and sub != mask:
-                rest = mask ^ sub
-                cut = 1.0
-                t = sub
-                while t:
-                    i = (t & -t).bit_length() - 1
-                    cut *= miss[i][rest]
-                    t &= t - 1
-                prob -= f[sub] * cut
-            sub = (sub - 1) & mask
-        f[mask] = prob
-    return f[full]
+    # One pass per subset size L, all masks S of that size at once; f of
+    # every smaller subset is final by then.  The submasks T of S holding
+    # its lowest bit (the anchor) are the anchor plus a choice of S's other
+    # L - 1 bits: choice j takes bit k + 1 when bit k of j is set.  Rows run
+    # j = 2^(L-1) - 2 down to 0 (T = S left out), T descending, and terms
+    # are taken left to right, so each f(S) is the same float sum as a
+    # descending walk over submasks.
+    f = np.zeros(1 << n)
+    f[popcount == 1] = 1.0
+    for size in range(2, n + 1):
+        masks = np.flatnonzero(popcount == size)
+        bits = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, size)
+        choice = np.arange((1 << (size - 1)) - 2, -1, -1)[:, None]
+        select = choice >> np.arange(size - 1) & 1
+        subs = (1 << bits[:, 0]) + select @ (1 << bits[:, 1:]).T
+        rest = masks ^ subs
+        cut = miss[bits[:, 0], rest]
+        for k in range(1, size):
+            cut *= np.where(select[:, k - 1 : k], miss[bits[:, k], rest], 1.0)
+        terms = np.concatenate((np.ones((1, len(masks))), -(f[subs] * cut)))
+        f[masks] = np.cumsum(terms, axis=0)[-1]
+    return min(1.0, max(0.0, float(f[-1])))
 
 
 def edge_resampling_estimate(

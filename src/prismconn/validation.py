@@ -65,25 +65,45 @@ def bfs_component_count(n: int, edges: Iterable[tuple[int, int]]) -> int:
 
 
 def brute_force_connectivity_probability(h_matrix: np.ndarray) -> float:
-    """Connectivity probability by enumerating every edge subset."""
-    n = h_matrix.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
+    """Connectivity probability by enumerating every edge subset.
+
+    Edge k is the k-th pair (i, j), i < j, in row order, and subset `mask`
+    holds edge k when bit k is set; only the upper triangle of `h_matrix`
+    is read.  All subsets are decided at once: node 0's reachable set grows
+    by its members' neighbour bitmasks for n - 1 rounds.  The 20-pair cap
+    admits at most 6 nodes: 15 pairs, 32 768 subsets, a 3.3 MB peak.
+    """
+    h = np.asarray(h_matrix, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError(f"H must be a square matrix, got shape {h.shape}")
+    if not np.all((h >= 0.0) & (h <= 1.0)):  # NaN fails both
+        raise DomainError("H entries must be finite and within [0, 1]")
+    n = h.shape[0]
+    ii, jj = np.triu_indices(n, k=1)
+    m = ii.size
     if m > 20:
         raise DomainError(f"edge-subset enumeration capped at 20 pairs, got {m}")
-    total = 0.0
-    for mask in range(1 << m):
-        prob = 1.0
-        edges = []
-        for k, (i, j) in enumerate(pairs):
-            if mask >> k & 1:
-                prob *= h_matrix[i, j]
-                edges.append((i, j))
-            else:
-                prob *= 1.0 - h_matrix[i, j]
-        if prob > 0.0 and mc_sim.connectivity_check(n, edges)[0]:
-            total += prob
-    return total
+
+    # prob[mask] = prod over edges k of H_k if bit k is set, else 1 - H_k,
+    # one edge at a time: the masks with top bit k are those below 1 << k
+    # times H_k, and those below take 1 - H_k.  This multiplies in edge
+    # order, as a per-subset loop would.
+    prob = np.ones(1 << m)
+    masks = np.arange(1 << m)
+    neighbours = np.zeros((n, 1 << m), dtype=np.intp)
+    for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        prob[1 << k : 2 << k] = prob[: 1 << k] * h[i, j]
+        prob[: 1 << k] *= 1.0 - h[i, j]
+        held = masks >> k & 1
+        neighbours[i] |= held << j
+        neighbours[j] |= held << i
+    reach = np.full(1 << m, 1 if n else 0, dtype=np.intp)  # node 0, if any
+    for _ in range(n - 1):
+        for v in range(n):
+            reach |= np.where(reach >> v & 1, neighbours[v], 0)
+    # Summed left to right in mask order, as one running total would.
+    linked = prob[reach == (1 << n) - 1]
+    return float(np.cumsum(np.append(0.0, linked))[-1])
 
 
 def _check_cross_form_h() -> CheckResult:
@@ -194,9 +214,10 @@ def _check_exact_oracle() -> CheckResult:
     for _ in range(200):
         n = int(rng.integers(2, 6))
         pts = sample_uniform_rng(prism, n, rng)
-        h = np.array(
-            [[pair_connectedness(model, float(np.linalg.norm(a - b))) for b in pts] for a in pts]
-        )
+        # Per-pair norms and scalar H, not the exact oracle's pair table.
+        h = np.zeros((n, n))
+        for i, j in zip(*np.triu_indices(n, k=1)):
+            h[i, j] = h[j, i] = pair_connectedness(model, float(np.linalg.norm(pts[i] - pts[j])))
         exact = mc_sim.exact_connectivity_probability(pts, model)
         brute = brute_force_connectivity_probability(h)
         worst = max(worst, abs(exact - brute))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismconn.errors import DomainError
 from prismconn.geometry import cube_prism, house_prism, sample_uniform_rng
@@ -22,6 +24,8 @@ from prismconn.mc_sim import (
     _PAIR_TABLE_BYTES,
     McConfig,
     UnionFind,
+    _pair_nodes,
+    _pairs,
     _trial_rng,
     connection_field,
     connectivity_check,
@@ -221,6 +225,14 @@ def test_exact_three_equidistant_nodes():
     )
 
 
+ORACLE_MODELS = [
+    Mimo(2, 2, PathLossParams(0.35, 2.0, 3)),
+    Siso(PathLossParams(0.5, 2.0, 3)),
+    SimoMiso(3, PathLossParams(0.4, 3.0, 3)),
+    UnitDisk(1.4, P3),
+]
+
+
 def test_exact_against_brute_force():
     rng = np.random.default_rng(123)
     prism = house_prism(3.0)
@@ -231,6 +243,13 @@ def test_exact_against_brute_force():
         exact = exact_connectivity_probability(pts, model)
         brute = brute_force_connectivity_probability(h_matrix(pts, model))
         assert abs(exact - brute) < 1e-12
+    # six nodes: 15 pairs, 32 768 edge subsets, every link model
+    for model in ORACLE_MODELS:
+        for _ in range(8):
+            pts = sample_uniform_rng(prism, 6, rng)
+            exact = exact_connectivity_probability(pts, model)
+            brute = brute_force_connectivity_probability(h_matrix(pts, model))
+            assert abs(exact - brute) < 1e-12
 
 
 def test_exact_size_cap():
@@ -246,6 +265,140 @@ def test_oracles_reject_non_finite_points():
         exact_connectivity_probability(pts, Siso(P3))
     with pytest.raises(DomainError):
         edge_resampling_estimate(pts, Siso(P3), 10, 1)
+
+
+def reference_exact(points, model):
+    """The subset recursion one mask at a time, walking submasks downwards."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    near, h = _pairs(pts, model)
+    ii, jj = _pair_nodes(n, near)
+    q = np.ones((n, n))
+    q[ii, jj] = q[jj, ii] = 1.0 - h
+    miss = [[1.0] * (1 << n) for _ in range(n)]  # miss[i][mask]: prod of q[i, j], j in mask
+    for i in range(n):
+        for mask in range(1, 1 << n):
+            top = mask.bit_length() - 1
+            miss[i][mask] = miss[i][mask ^ (1 << top)] * q[i, top]
+    f = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            f[mask] = 1.0
+            continue
+        anchor = mask & -mask
+        prob = 1.0
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & anchor:
+                rest = mask ^ sub
+                cut = 1.0
+                for i in range(n):
+                    if sub >> i & 1:
+                        cut *= miss[i][rest]
+                prob -= f[sub] * cut
+            sub = (sub - 1) & mask
+        f[mask] = prob
+    return f[-1]
+
+
+def reference_brute_force(h):
+    """Edge subsets one at a time, each decided by breadth-first search."""
+    n = len(h)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 0.0
+    for mask in range(1 << len(pairs)):
+        prob = 1.0
+        edges = []
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                prob *= h[i, j]
+                edges.append((i, j))
+            else:
+                prob *= 1.0 - h[i, j]
+        if bfs_component_count(n, edges) <= 1:
+            total += prob
+    return total
+
+
+def test_exact_matches_loop_reference():
+    # Same products and sums in the same order, so equal to the last bit.
+    rng = np.random.default_rng(2024)
+    for n in range(2, 13):
+        for model in ORACLE_MODELS[: 4 if n < 11 else 1]:
+            pts = sample_uniform_rng(house_prism(3.0), n, rng)
+            p = exact_connectivity_probability(pts, model)
+            ref = reference_exact(pts, model)
+            assert p == min(1.0, max(0.0, ref)), (n, model)
+
+
+def test_brute_force_matches_loop_reference():
+    rng = np.random.default_rng(99)
+    for n in (0, 1, 2, 3, 3, 4, 4, 5, 5, 6):
+        h = rng.random((n, n))
+        h[rng.random((n, n)) < 0.2] = 0.0
+        h[rng.random((n, n)) < 0.2] = 1.0
+        assert brute_force_connectivity_probability(h) == reference_brute_force(h), h
+
+
+def test_oracles_where_h_is_zero_or_one():
+    # H is exactly 1 between coincident points and exactly 0 between the
+    # two clusters, 30 apart (beyond every model's support radius).
+    model = Mimo(2, 2, P3)
+    assert 30.0 > support_radius(model)
+    for n in range(2, 13):
+        together = np.tile([1.0, 2.0, 0.5], (n, 1))
+        assert exact_connectivity_probability(together, model) == 1.0
+        for split in range(1, n):
+            apart = together.copy()
+            apart[split:, 0] += 30.0
+            assert exact_connectivity_probability(apart, model) == 0.0
+            assert exact_connectivity_probability(apart[::-1], model) == 0.0
+            if n <= 6:
+                h = h_matrix(apart, model)
+                assert set(np.unique(h)) <= {0.0, 1.0}
+                assert brute_force_connectivity_probability(h) == 0.0
+        if n <= 6:
+            assert brute_force_connectivity_probability(h_matrix(together, model)) == 1.0
+    # Spread clusters: the brute force sums no subset at all, while the
+    # recursion cancels to rounding error (down to -1.7e-16 unclipped).
+    rng = np.random.default_rng(1)
+    for n in range(3, 7):
+        pts = rng.random((n, 3))
+        pts[n // 2 :, 0] += 30.0
+        assert 0.0 <= exact_connectivity_probability(pts, model) < 1e-15
+        assert brute_force_connectivity_probability(h_matrix(pts, model)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.array([[0.0, 1.5], [1.5, 0.0]]),
+        np.full((2, 3), 0.5),
+        np.array([[0.0, -0.25], [-0.25, 0.0]]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.full(3, 0.5),
+    ],
+    ids=["nan", "above-one", "not-square", "negative", "infinite", "one-dimensional"],
+)
+def test_brute_force_rejects_malformed_h(h):
+    with pytest.raises(DomainError):
+        brute_force_connectivity_probability(h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(ORACLE_MODELS),
+    data=st.data(),
+)
+def test_exact_is_invariant_under_relabelling(n, seed, model, data):
+    # A relabelling moves which node anchors each subset and which bit is on top.
+    pts = sample_uniform_rng(house_prism(3.0), n, np.random.default_rng(seed))
+    order = data.draw(st.permutations(range(n)))
+    p = exact_connectivity_probability(pts, model)
+    assert abs(exact_connectivity_probability(pts[order], model) - p) <= 1e-12
 
 
 def test_edge_resampling_matches_exact():
