@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -106,23 +107,25 @@ def _parse_grid(spec) -> list[float]:
     return _nonempty([_cast(float, tok, f"grid {text!r}") for tok in tokens], spec)
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _render(fmt: str, header: list[str], rows: list[list], extra: dict | None = None) -> str:
     if fmt == "csv":
+        # csv.writer writes a float by repr, an int by str and None as an
+        # empty cell; only bools need spelling out, so only the columns that
+        # hold one (found at C speed) are rewritten.
+        flagged = {
+            i for i, column in enumerate(itertools.zip_longest(*rows))
+            if bool in set(map(type, column))
+        }
+        if flagged:
+            rows = [
+                [("true" if v else "false") if i in flagged and type(v) is bool else v
+                 for i, v in enumerate(row)]
+                for row in rows
+            ]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
         return buf.getvalue()
     payload = {"rows": [dict(zip(header, row)) for row in rows]}
     if extra:

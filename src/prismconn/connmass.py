@@ -12,12 +12,10 @@ approximation with its error split.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import CapabilityError, ConvergenceError, DomainError
@@ -26,7 +24,8 @@ from .linkmodels import (
     Mimo,
     PathLossParams,
     SimoMiso,
-    pair_connectedness,
+    pair_connectedness,  # noqa: F401  unused; perfbench's tracer test wraps it here
+    pair_connectedness_many,
     support_radius,
 )
 
@@ -93,18 +92,106 @@ def mass_mimo_n2_specialization(params: PathLossParams) -> float:
     )
 
 
+# QUADPACK's qk21: the 10 positive Kronrod abscissae on [-1, 1] (the Gauss
+# ones at odd positions), then the Kronrod weights (centre last) and the
+# 10-point Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067315000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# The 21 nodes in ascending order, with their Kronrod and Gauss weights
+# (Gauss weight 0 where a node is Kronrod-only).
+_GK_NODES = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+_GK_WK = np.array(list(_WGK) + list(reversed(_WGK[:10])))
+_GK_WG = np.array(
+    [w for g in _WG for w in (0.0, g)] + [0.0] + [w for g in reversed(_WG) for w in (g, 0.0)]
+)
+_QUAD_LIMIT = 300  # subintervals, breakpoint panels included
+_QUAD_EPSABS = 1e-12
+_QUAD_EPSREL = 1e-11
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """Kronrod values and QUADPACK error estimates of panels [a, b].
+
+    All 21 nodes of every panel go to f in one array; a scalar f value is
+    taken as constant.
+    """
+    half = 0.5 * (b - a)
+    r = ((a + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+    fx = np.asarray(f(r), dtype=float)
+    if fx.shape != r.shape:
+        fx = np.broadcast_to(fx, r.shape)
+    fx = fx.reshape(a.size, -1)
+    resabs = (np.abs(fx) @ _GK_WK) * half
+    if not math.isfinite(resabs.sum()):
+        raise ConvergenceError("quadrature integrand is not finite on its nodes")
+    kronrod = fx @ _GK_WK
+    # QUADPACK's estimate resasc min(1, (200 |K - G| / resasc)^1.5), with
+    # resasc the integral of |f - mean f| (0 where f is constant, with no
+    # division by it), floored at 50 ulp of resabs, the integral of |f|.
+    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_WK) * half
+    err = 200.0 * np.abs(kronrod - fx @ _GK_WG) * half
+    err = resasc * (np.minimum(err, resasc) / np.maximum(resasc, _TINY)) ** 1.5
+    return kronrod * half, np.maximum(50.0 * _EPS * resabs, err)
+
+
 def _quad(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    pts = [b for b in breakpoints if lo < b < hi]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abs_err = integrate.quad(
-            f, lo, hi, points=pts or None, limit=300, epsabs=1e-12, epsrel=1e-11
-        )
+    """Adaptive G10/K21 integral of an array integrand f over [lo, hi].
+
+    Panels start at lo, the breakpoints inside (lo, hi) and hi.  Each round
+    bisects, largest error first, just enough panels that the rest's error
+    is within tolerance, and evaluates all their halves in one f call; it
+    stops when the summed error is within max(epsabs, epsrel |value|), at
+    the subinterval limit, or when no panel can be bisected further.
+    """
+    edges = np.array([lo, *sorted(b for b in breakpoints if lo < b < hi), hi], dtype=float)
+    a, b = edges[:-1], edges[1:]
+    values, errs = _gk21(f, a, b)
+    while a.size < _QUAD_LIMIT:
+        excess = errs.sum() - max(_QUAD_EPSABS, _QUAD_EPSREL * abs(values.sum()))
+        if excess <= 0.0:
+            break
+        mid = 0.5 * (a + b)
+        splittable = np.flatnonzero((a < mid) & (mid < b))
+        if not splittable.size:
+            break
+        worst = splittable[np.argsort(-errs[splittable], kind="stable")]
+        count = int(np.searchsorted(np.cumsum(errs[worst]), excess)) + 1
+        pick = worst[: min(count, _QUAD_LIMIT - a.size)]
+        new_a = np.concatenate([a[pick], mid[pick]])
+        new_b = np.concatenate([mid[pick], b[pick]])
+        new_values, new_errs = _gk21(f, new_a, new_b)
+        keep = np.ones(a.size, dtype=bool)
+        keep[pick] = False
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        values = np.concatenate([values[keep], new_values])
+        errs = np.concatenate([errs[keep], new_errs])
+    value, abs_err = float(values.sum()), float(errs.sum())
     if abs_err > max(1e-10, 1e-8 * abs(value)):
         raise ConvergenceError(
             f"quadrature error estimate {abs_err:.2e} too large for value {value:.6e}"
@@ -117,7 +204,7 @@ def mass_quadrature(model: ConnectionModel) -> MassResult:
     d = model.params.dim
     transition = (model.diversity / model.params.beta) ** (1.0 / model.params.eta)
     value, abs_err = _quad(
-        lambda r: r ** (d - 1) * pair_connectedness(model, r),
+        lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
         0.0,
         support_radius(model),
         breakpoints=(transition,),
@@ -157,10 +244,10 @@ def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
     d = params.dim
     transition = (n / params.beta) ** (1.0 / params.eta)
     eps_minus, _ = _quad(
-        lambda r: r ** (d - 1) * (pair_connectedness(model, r) - 1.0), 0.0, transition
+        lambda r: r ** (d - 1) * (pair_connectedness_many(model, r) - 1.0), 0.0, transition
     )
     eps_plus, _ = _quad(
-        lambda r: r ** (d - 1) * pair_connectedness(model, r),
+        lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
         transition,
         support_radius(model),
     )

@@ -1,6 +1,7 @@
 """CLI behavior: schemas, exit codes, manifests, reproducibility."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prismconn
-from prismconn.cli import _parse_grid, _parse_int_spec, main
+from prismconn.cli import _parse_grid, _parse_int_spec, _render, main
 from prismconn.errors import DomainError
 from prismconn.validation import CHECK_NAMES, run_checks
 
@@ -456,3 +457,63 @@ def test_stdout_output(capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("model,k,d,eta,beta")
+
+
+def _cell_reference(value) -> str:
+    """The per-cell CSV spelling the renderer has always produced."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _render_csv_reference(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell_reference(v) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[True, None, 3, 0.1, "a,b"], [False, 2.5, None, -0.0, 'say "hi"'],
+         [None, 1e-300, 10**20, float("inf"), ""]],
+        # a column that is bool in one row only, and a column mixing 1 and True
+        [[1, 0.5, None], [True, 0.25, False], [0, float("nan"), 7]],
+        [[None], [""], [True]],  # one-column rows, where an empty cell is quoted
+        [[1.5, True], [2.5], [3.5, None, False]],  # ragged rows
+    ],
+)
+def test_csv_render_matches_per_cell_reference(rows):
+    header = ["a", "b", "c", "d", "e"]
+    assert _render("csv", header, rows) == _render_csv_reference(header, rows)
+
+
+def test_csv_render_byte_identical_for_every_command(tmp_path, monkeypatch):
+    tables = []
+
+    def spy(fmt, header, rows, extra=None):
+        tables.append((header, rows))
+        return _render(fmt, header, rows, extra)
+
+    monkeypatch.setattr("prismconn.cli._render", spy)
+    runs = [
+        ["mass", "--model", "mimo", "--m", "2..4", "--eta", "2,3"],
+        ["pfc", "--rho", "0.05,0.5,0.9"],
+        ["simulate", "--rho", "0.6", "--trials", "4", "--seed", "3"],
+        ["field", "--prism", "house", "--L", "4", "--rho", "0.8", "--grid", "6", "--seed", "2"],
+        ["validate", "--check", "union-find"],
+    ]
+    for argv in runs:
+        assert run_cli([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+    assert len(tables) == len(runs)
+    assert any(isinstance(v, bool) for _, rows in tables for row in rows for v in row)
+    for header, rows in tables:
+        assert _render("csv", header, rows) == _render_csv_reference(header, rows)

@@ -1,10 +1,15 @@
 """Mass of connectivity: closed forms vs the quadrature oracle, scaling laws."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from scipy import integrate
 
+from prismconn import connmass
 from prismconn.connmass import (
+    _quad,
     error_order_fit,
     loglog_slope,
     mass_mimo_closed,
@@ -15,8 +20,16 @@ from prismconn.connmass import (
     mass_step_approx,
     step_error,
 )
-from prismconn.errors import CapabilityError, DomainError
-from prismconn.linkmodels import Mimo, PathLossParams, SimoMiso, Siso, UnitDisk
+from prismconn.errors import CapabilityError, ConvergenceError, DomainError
+from prismconn.linkmodels import (
+    Mimo,
+    PathLossParams,
+    SimoMiso,
+    Siso,
+    UnitDisk,
+    pair_connectedness_many,
+    support_radius,
+)
 
 
 def test_siso_closed_form_values():
@@ -214,3 +227,120 @@ def test_scaling_slope_helper_validation():
         loglog_slope([1.0], [1.0])
     with pytest.raises(DomainError):
         loglog_slope([1.0, 2.0], [0.0, 1.0])
+
+
+def _scipy_quad(f, lo, hi, points=()):
+    """The reference: QUADPACK through scipy, on a scalar integrand."""
+    pts = [p for p in points if lo < p < hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(
+            f, lo, hi, points=pts or None, limit=300, epsabs=1e-12, epsrel=1e-11
+        )
+
+
+def test_quad_matches_scipy_quad_on_mass_integrands():
+    for d in (1, 2, 3):
+        for eta in (2.0, 2.5, 3.0, 4.0):
+            params = PathLossParams(1.0, eta, d)
+            models = [SimoMiso(m, params) for m in (1, 3, 16, 64)]
+            models += [Mimo(2, n, params) for n in (2, 5, 16, 64)]
+            for model in models:
+                transition = (model.diversity / params.beta) ** (1.0 / eta)
+                radius = support_radius(model)
+                # the mass integrand, then the two halves of the step error
+                cases = [
+                    (lambda r: r ** (d - 1) * model.h(r), 0.0, radius, (transition,)),
+                    (lambda r: r ** (d - 1) * (model.h(r) - 1.0), 0.0, transition, ()),
+                    (lambda r: r ** (d - 1) * model.h(r), transition, radius, ()),
+                ]
+                for f, lo, hi, points in cases:
+                    value, _ = _quad(lambda r: f(np.asarray(r)), lo, hi, points)
+                    reference, _ = _scipy_quad(lambda r: float(f(r)), lo, hi, points)
+                    assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_quad_unit_disk_jump_inside_a_panel():
+    disk = UnitDisk(1.7, PathLossParams(1.0, 2.0, 3))
+    f = lambda r: r**2 * disk.h(r)  # noqa: E731
+    value, abs_err = _quad(f, 0.0, 3.0, breakpoints=(1.0,))
+    assert value == pytest.approx(1.7**3 / 3.0, rel=1e-12, abs=0.0)
+    assert value == pytest.approx(_scipy_quad(f, 0.0, 3.0, (1.0,))[0], rel=1e-12, abs=0.0)
+    assert 0.0 < abs_err <= 1e-10
+
+
+def test_quad_raises_on_a_non_integrable_integrand():
+    with pytest.raises(ConvergenceError):
+        _quad(lambda r: 1.0 / np.abs(r - 0.3), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda r: math.nan,
+        lambda r: np.full_like(r, math.nan),
+        lambda r: np.where(r > 0.9, math.inf, r),
+        lambda r: np.where(r < 0.5, r, math.nan),
+    ],
+)
+def test_quad_raises_on_non_finite_values(f):
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return f(r)
+
+    with pytest.raises(ConvergenceError):
+        _quad(counting, 0.0, 1.0)
+    assert len(calls) == 1  # raised at once, not after refining to the cap
+
+
+def test_quad_stops_at_300_subintervals():
+    nodes = []
+
+    def f(r):
+        nodes.append(r.size)
+        return np.cos(1e5 * r)
+
+    with pytest.raises(ConvergenceError):
+        _quad(f, 0.0, 1.0)
+    # one starting panel, then two new panels per bisection: 299 bisections
+    # leave exactly 300 subintervals
+    assert sum(nodes) == 21 * (1 + 2 * 299)
+    # every panel is bisected each round (1, 2, 4, ..., 256, then 44 of them)
+    assert len(nodes) == 10
+
+
+def test_quad_takes_a_constant_integrand():
+    assert _quad(lambda r: 2.0, 0.0, 1.5) == pytest.approx((3.0, 0.0), abs=1e-13)
+
+
+MAX_ROUNDS = 5  # f calls per quadrature; 4572 masses over d, eta, beta and k <= 64 took 2-4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+def test_mass_quadrature_evaluates_h_on_arrays_in_few_rounds(monkeypatch, d, eta):
+    calls = []
+
+    def counting(model, r):
+        calls.append(r)
+        return pair_connectedness_many(model, r)
+
+    def scalar(model, r):
+        raise AssertionError("scalar H called by the quadrature")
+
+    monkeypatch.setattr(connmass, "pair_connectedness_many", counting)
+    monkeypatch.setattr(connmass, "pair_connectedness", scalar)
+    params = PathLossParams(1.0, eta, d)
+    models = [SimoMiso(m, params) for m in (1, 8, 64)] + [Mimo(2, n, params) for n in (2, 8, 64)]
+    for model in models:
+        calls.clear()
+        mass_quadrature(model)
+        assert 1 <= len(calls) <= MAX_ROUNDS
+        assert all(isinstance(r, np.ndarray) and r.size % 21 == 0 for r in calls)
+    for n in (2, 8, 64):
+        calls.clear()
+        step_error(n, params)
+        assert 2 <= len(calls) <= 2 * MAX_ROUNDS
+        assert all(isinstance(r, np.ndarray) and r.size % 21 == 0 for r in calls)
