@@ -47,6 +47,9 @@ def _cast(kind, value, where: str):
 _MAX_VALUES = 10**6  # longest range a spec may expand to
 _MAX_GRID_POINTS = 10**7  # largest field lattice; admits the default 200^3
 _MAX_FIELD_NODES = 10**6  # most nodes a field realization may draw
+# Lattice points per slab of a streamed field: a slab's points, values and
+# CSV text take a few MB however large the lattice.
+_FIELD_SLAB_POINTS = 4096
 
 
 def _nonempty(values: list, spec) -> list:
@@ -312,6 +315,46 @@ def _field_node_count(expected: float) -> int:
     return round(expected)
 
 
+def _field_slabs(axes, inside, points, model):
+    """The field over the lattice of `axes`, slab by slab in `ij` order.
+
+    A slab is whole first-axis planes, about _FIELD_SLAB_POINTS lattice
+    points and at least one plane.  Yields each slab's flat lattice indices,
+    points and field values, keeping only the points `inside` (when given).
+    """
+    shape = tuple(len(axis) for axis in axes)
+    total, plane = math.prod(shape), math.prod(shape[1:])
+    step = max(1, _FIELD_SLAB_POINTS // plane) * plane
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total))
+        lattice = np.column_stack(
+            [axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))]
+        )
+        if inside is not None:
+            keep = inside(lattice)
+            flat, lattice = flat[keep], lattice[keep]
+        yield flat, lattice, mc_sim.connection_field(points, model, lattice)
+
+
+def _write_field_csv(out, header: list[str], axes, slabs) -> None:
+    """The field's CSV, written slab by slab: the bytes `_render` writes.
+
+    csv.writer spells a float by repr and needs no quotes for one, so each
+    axis value is spelled once and a line joins prebuilt strings with the
+    repr of its value.
+    """
+    spelled = [[repr(v) for v in axis.tolist()] for axis in axes]
+    heads = [",".join(coords) for coords in itertools.product(*spelled[:-1])]
+    tails = spelled[-1]
+    out.write(",".join(header) + "\n")
+    for flat, _, values in slabs:
+        head, tail = np.divmod(flat, len(tails))
+        out.write("".join([
+            f"{heads[h]},{tails[t]},{v!r}\n"
+            for h, t, v in zip(head.tolist(), tail.tolist(), values.tolist())
+        ]))
+
+
 def cmd_field(args) -> int:
     defaults = {
         "square": None, "prism": None, "length": None, "model": "siso",
@@ -331,37 +374,51 @@ def cmd_field(args) -> int:
     grid_n = _cast(int, params["grid"], "grid")
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points per axis, got {grid_n}")
-    rng = np.random.default_rng(_cast(int, params["seed"], "seed"))
+    seed = _cast(int, params["seed"], "seed")
 
     # The domain: a square [0, side]^2 or a prism inside its bounding box.
+    prism = None
     if params["square"] is not None:
         side = _cast(float, params["square"], "square")
         if not (math.isfinite(side) and side > 0.0):
             raise DomainError(f"square side must be a positive finite real, got {side}")
         dim, lo, hi = 2, (0.0, 0.0), (side, side)
-        points = rng.random((_field_node_count(rho * side * side), 2)) * side
-        inside = None
+        count = _field_node_count(rho * side * side)
     else:
         prism = _build_prism(params)
         dim, (lo, hi) = 3, prism.bounding_box
         count = _field_node_count(rho * prism.volume)
-        points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
-        inside = prism.contains_many
-
     if grid_n**dim > _MAX_GRID_POINTS:
         raise DomainError(
             f"grid {grid_n} makes {grid_n**dim} points in {dim} dimensions, "
             f"more than {_MAX_GRID_POINTS}"
         )
     model = _field_model(params, dim)
+
+    rng = np.random.default_rng(seed)
+    if prism is None:
+        points = rng.random((count, 2)) * side
+    else:
+        points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
+    if count:
+        # No node is farther from a lattice point than the box's corners are
+        # from each other; H must take that distance before output begins.
+        mc_sim.connection_field([hi], model, [lo])
+
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
-    grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    if inside is not None:
-        grid_pts = grid_pts[inside(grid_pts)]
-    values = mc_sim.connection_field(points, model, grid_pts)
+    slabs = _field_slabs(axes, None if prism is None else prism.contains_many, points, model)
     header = ["x", "y", "z"][:dim] + ["value"]
-    rows = np.column_stack((grid_pts, values)).tolist()
-    _write_output(args, header, rows)
+    if args.format == "json":  # one table in memory: meant for small grids
+        rows = [
+            row for _, lattice, values in slabs
+            for row in np.column_stack((lattice, values)).tolist()
+        ]
+        _write_output(args, header, rows)
+    elif args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
+            _write_field_csv(out, header, axes, slabs)
+    else:
+        _write_field_csv(sys.stdout, header, axes, slabs)
     _write_manifest(args, "field", {**params, "rho": rho})
     return EXIT_OK
 

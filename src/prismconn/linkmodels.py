@@ -197,7 +197,7 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
     the scalar evaluation bit for bit.
     """
     r = np.asarray(r, dtype=float)
-    if r.size and (not np.isfinite(r).all() or (r < 0.0).any()):
+    if not specfun._x_ok(r):
         raise DomainError("distances must be non-negative finite reals")
     return model.h(r)
 

@@ -368,9 +368,11 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
             f"points are {pts.shape[1]}-dimensional but grid is {grid.shape[1]}-dimensional"
         )
     values = np.empty(len(grid))
-    rows = max(1, _FIELD_BLOCK_PAIRS // len(pts))
-    for start in range(0, len(grid), rows):
-        h = pair_connectedness_many(model, cdist(grid[start : start + rows], pts))
+    # Node-major blocks: the product over nodes multiplies whole rows, in the
+    # same node order as a product along each grid point's row.
+    cols = max(1, _FIELD_BLOCK_PAIRS // len(pts))
+    for start in range(0, len(grid), cols):
+        h = pair_connectedness_many(model, cdist(pts, grid[start : start + cols]))
         miss = np.subtract(1.0, h, out=h)
-        values[start : start + len(miss)] = 1.0 - np.prod(miss, axis=1)
+        values[start : start + miss.shape[1]] = 1.0 - np.prod(miss, axis=0)
     return values

@@ -11,13 +11,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prismconn
-from prismconn.cli import _parse_grid, _parse_int_spec, _render, main
+from prismconn.cli import _FIELD_SLAB_POINTS, _parse_grid, _parse_int_spec, _render, main
 from prismconn.errors import DomainError
+from prismconn.geometry import house_prism, sample_uniform_rng
+from prismconn.linkmodels import Mimo, PathLossParams, Siso, UnitDisk
+from prismconn.mc_sim import connection_field
 from prismconn.validation import CHECK_NAMES, run_checks
 
 
@@ -508,7 +512,6 @@ def test_csv_render_byte_identical_for_every_command(tmp_path, monkeypatch):
         ["mass", "--model", "mimo", "--m", "2..4", "--eta", "2,3"],
         ["pfc", "--rho", "0.05,0.5,0.9"],
         ["simulate", "--rho", "0.6", "--trials", "4", "--seed", "3"],
-        ["field", "--prism", "house", "--L", "4", "--rho", "0.8", "--grid", "6", "--seed", "2"],
         ["validate", "--check", "union-find"],
     ]
     for argv in runs:
@@ -517,3 +520,116 @@ def test_csv_render_byte_identical_for_every_command(tmp_path, monkeypatch):
     assert any(isinstance(v, bool) for _, rows in tables for row in rows for v in row)
     for header, rows in tables:
         assert _render("csv", header, rows) == _render_csv_reference(header, rows)
+
+
+def field_table_old_way(domain, model, rho, grid_n, seed):
+    """`field`'s header and rows as the whole-lattice pipeline built them:
+    every lattice point, the prism's kept, then one connection_field call."""
+    rng = np.random.default_rng(seed)
+    if isinstance(domain, float):  # the side of a square
+        lo, hi = (0.0, 0.0), (domain, domain)
+        points = rng.random((round(rho * domain * domain), 2)) * domain
+    else:
+        lo, hi = domain.bounding_box
+        points = sample_uniform_rng(domain, round(rho * domain.volume), rng)
+    axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    if not isinstance(domain, float):
+        grid = grid[domain.contains_many(grid)]
+    header = ["x", "y", "z"][: len(lo)] + ["value"]
+    return header, np.column_stack((grid, connection_field(points, model, grid))).tolist()
+
+
+FIELD_CASES = {
+    "siso square": (
+        ["--square", "6", "--rho", "1.5", "--grid", "70", "--seed", "4"],
+        (6.0, Siso(PathLossParams(1.0, 2.0, 2)), 1.5, 70, 4),
+    ),
+    "mimo house": (
+        ["--prism", "house", "--L", "7", "--model", "mimo", "--m", "2", "--rho", "0.8",
+         "--grid", "24", "--seed", "3"],
+        (house_prism(7.0), Mimo(2, 2, PathLossParams(1.0, 2.0, 3)), 0.8, 24, 3),
+    ),
+    "unitdisk prism": (
+        ["--prism", "house", "--L", "3", "--model", "unitdisk", "--radius", "1.2",
+         "--rho", "0.5", "--grid", "17", "--seed", "5"],
+        (house_prism(3.0), UnitDisk(1.2, PathLossParams(1.0, 2.0, 3)), 0.5, 17, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("sink", ["file", "stdout", "json"])
+@pytest.mark.parametrize("case", list(FIELD_CASES))
+def test_field_output_is_the_whole_table_render(case, sink, tmp_path, capsys):
+    argv, old_way = FIELD_CASES[case]
+    header, rows = field_table_old_way(*old_way)
+    out = tmp_path / "field.out"
+    if sink == "stdout":
+        assert run_cli(["field", *argv]) == 0
+        written = capsys.readouterr().out
+    else:
+        assert run_cli(["field", *argv, "--format", "csv" if sink == "file" else sink,
+                        "--output", str(out)]) == 0
+        written = out.read_text(encoding="utf-8")
+    if sink == "json":
+        assert written == _render("json", header, rows)
+    else:
+        assert written == _render_csv_reference(header, rows)
+
+
+def test_field_streams_one_slab_at_a_time(monkeypatch):
+    grids = []
+    real = connection_field
+
+    def spy(points, model, grid):
+        grids.append(len(grid))
+        return real(points, model, grid)
+
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr("prismconn.mc_sim.connection_field", spy)
+    monkeypatch.setattr("sys.stdout", Sink())
+    argv, _ = FIELD_CASES["mimo house"]
+    assert run_cli(["field", *argv]) == 0
+    planes = max(1, _FIELD_SLAB_POINTS // 24**2)
+    assert 24 % planes != 0  # a short last slab
+    assert len(grids) > 2 and max(grids) <= planes * 24**2
+    assert len(writes) > 2  # the header, then a write per slab
+    assert "".join(writes).count("\n") == 1 + 11_328
+
+
+def test_field_grid_cap_comes_before_any_draw(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("nodes drawn before the lattice was checked")
+
+    monkeypatch.setattr("prismconn.cli.sample_uniform_rng", no_draw)
+    monkeypatch.setattr("numpy.random.default_rng", no_draw)
+    field = ["field", "--rho", "0.3", "--seed", "1"]
+    assert run_cli(field + ["--prism", "cube", "--L", "3", "--grid", "216"]) == 2
+    assert "more than 10000000" in capsys.readouterr().err
+    assert run_cli(field + ["--square", "5", "--grid", "3163"]) == 2
+    assert "more than 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one node; its distances across a square of side 1e160 overflow to inf
+        ["--square", "1e160", "--rho", "1e-320"],
+        # finite distances, but beta r^2 overflows in MIMO H at the far corner
+        ["--square", "1e150", "--rho", "1e-300", "--model", "mimo", "--beta", "1e10"],
+    ],
+)
+def test_field_refuses_an_unusable_distance_before_writing(argv, tmp_path, capsys):
+    field = ["field", *argv, "--grid", "3", "--seed", "1"]
+    out = tmp_path / "field.csv"
+    assert run_cli(field + ["--output", str(out)]) == 2
+    assert not out.exists()
+    assert run_cli(field) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err

@@ -223,6 +223,34 @@ def test_vectorized_matches_scalar():
             np.testing.assert_allclose(vec, oracle, rtol=0.0, atol=1e-13)
 
 
+def _distances_ok_by_masks(r):
+    """The former rule of pair_connectedness_many, by elementwise masks."""
+    return not (r.size and (not np.isfinite(r).all() or (r < 0.0).any()))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [], [0.0], [-0.0], [0.0, -0.0, 3.5], [1e-320, 1e150], [_NAN], [1.0, _NAN],
+        [_INF], [2.0, -_INF], [-1e-300], [4.0, -2.0], [_NAN, -1.0], [-0.0, _INF],
+    ],
+)
+@pytest.mark.parametrize("shape", ["1-D", "2-D"])
+def test_distance_check_matches_mask_rule(values, shape):
+    r = np.array(values, dtype=float)
+    if shape == "2-D":
+        r = np.tile(r, (3, 1)) if r.size else np.empty((2, 0))
+    accepted = _distances_ok_by_masks(r)
+    if accepted:
+        assert pair_connectedness_many(Siso(P3), r).shape == r.shape
+    else:
+        with pytest.raises(DomainError):
+            pair_connectedness_many(Siso(P3), r)
+
+
 @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
 def test_mimo_h_against_mpmath(eta):
     # x from 0 past the tail where H < 1e-12, for orders 2..64

@@ -503,6 +503,22 @@ def reference_field(points, model, grid):
     return values
 
 
+def lattice(lo, hi, n):
+    """`field`'s lattice: n points per axis over the box, in `ij` order."""
+    axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def benchmark_field_inputs(domain, nodes, rng):
+    """Nodes and grid of a benchmark field: `field --prism house --L 7` at
+    grid 24, or criterion 8's square of side 10 at grid 200."""
+    if domain == "house 24":
+        prism = house_prism(7.0)
+        grid = lattice(*prism.bounding_box, 24)
+        return sample_uniform_rng(prism, nodes, rng), grid[prism.contains_many(grid)]
+    return rng.random((nodes, 2)) * 10.0, lattice((0.0, 0.0), (10.0, 10.0), 200)
+
+
 @pytest.mark.parametrize(
     "model, nodes, grid_count",
     [
@@ -511,19 +527,24 @@ def reference_field(points, model, grid):
         (SimoMiso(3, PathLossParams(0.7, 3.0, 3)), 90, 777),
         (UnitDisk(1.2, P2), 60, 641),
         (Siso(P2), 1, 300),
-        (Siso(P2), _FIELD_BLOCK_PAIRS + 3, 5),  # blocks of one grid row
+        (Siso(P2), _FIELD_BLOCK_PAIRS + 3, 5),  # blocks of one grid point
+        (Mimo(2, 2, P3), 343, "house 24"),  # the shapes the benchmark times
+        (Siso(P2), 150, "square 200"),
     ],
 )
 def test_connection_field_matches_reference(model, nodes, grid_count):
     dim = model.params.dim
-    rng = np.random.default_rng(nodes + grid_count)
-    pts = rng.random((nodes, dim)) * 6.0
-    grid = rng.random((grid_count, dim)) * 6.0
+    if isinstance(grid_count, str):
+        pts, grid = benchmark_field_inputs(grid_count, nodes, np.random.default_rng(nodes))
+    else:
+        rng = np.random.default_rng(nodes + grid_count)
+        pts = rng.random((nodes, dim)) * 6.0
+        grid = rng.random((grid_count, dim)) * 6.0
     if isinstance(model, UnitDisk):
         grid[:nodes, 0] = pts[:, 0] + model.radius  # distances at or next to the radius
         grid[:nodes, 1:] = pts[:, 1:]
-    rows = max(1, _FIELD_BLOCK_PAIRS // nodes)
-    assert grid_count % rows != 0 or rows == 1  # a short last block
+    cols = max(1, _FIELD_BLOCK_PAIRS // nodes)
+    assert len(grid) % cols != 0 or cols == 1  # a short last block
     values = connection_field(pts, model, grid)
     assert values.tobytes() == reference_field(pts, model, grid).tobytes()
 
