@@ -16,7 +16,6 @@ from .connmass import (
     mass_quadrature,
     mass_scaling_leading,
     mass_simo_closed,
-    mass_step_approx,
     step_error,
 )
 from .errors import CapabilityError, ConvergenceError, DomainError, InvalidPrismError
@@ -24,7 +23,6 @@ from .geometry import (
     BoundaryFeature,
     RightPrism,
     cube_prism,
-    distance,
     enumerate_features,
     house_prism,
     load_prism,
@@ -89,7 +87,6 @@ __all__ = [
     "connectivity_check",
     "corner_contribution",
     "cube_prism",
-    "distance",
     "edge_contribution",
     "edge_resampling_estimate",
     "enumerate_features",
@@ -105,7 +102,6 @@ __all__ = [
     "mass_quadrature",
     "mass_scaling_leading",
     "mass_simo_closed",
-    "mass_step_approx",
     "mimo_gamma_form",
     "pair_connectedness",
     "pair_connectedness_many",

@@ -46,6 +46,7 @@ def _cast(kind, value, where: str):
 
 _MAX_VALUES = 10**6  # longest range a spec may expand to
 _MAX_GRID_POINTS = 10**7  # largest field lattice; admits the default 200^3
+_MAX_JSON_GRID_POINTS = 10**5  # json holds the whole table: about 190 MB at the cap
 _MAX_FIELD_NODES = 10**6  # most nodes a field realization may draw
 # Lattice points per slab of a streamed field: a slab's points, values and
 # CSV text take a few MB however large the lattice.
@@ -113,22 +114,13 @@ def _parse_grid(spec) -> list[float]:
 def _render(fmt: str, header: list[str], rows: list[list], extra: dict | None = None) -> str:
     if fmt == "csv":
         # csv.writer writes a float by repr, an int by str and None as an
-        # empty cell; only bools need spelling out, so only the columns that
-        # hold one (found at C speed) are rewritten.
-        flagged = {
-            i for i, column in enumerate(itertools.zip_longest(*rows))
-            if bool in set(map(type, column))
-        }
-        if flagged:
-            rows = [
-                [("true" if v else "false") if i in flagged and type(v) is bool else v
-                 for i, v in enumerate(row)]
-                for row in rows
-            ]
+        # empty cell; only bools need spelling out.
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(
+            [("true" if v else "false") if type(v) is bool else v for v in row] for row in rows
+        )
         return buf.getvalue()
     payload = {"rows": [dict(zip(header, row)) for row in rows]}
     if extra:
@@ -162,6 +154,8 @@ def _resolve(args, defaults: dict, required: tuple[str, ...] = ()) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise DomainError(f"config {args.config}: not a JSON object")
         if "parameters" in loaded and isinstance(loaded["parameters"], dict):
             loaded = loaded["parameters"]
         for key in defaults:
@@ -230,7 +224,6 @@ _PFC_DEFAULTS = {
     "length": 7.0,
     "beta": 1.0,
     "eta": 2.0,
-    "d": 3,
     "rho": None,
 }
 
@@ -238,7 +231,7 @@ _PFC_DEFAULTS = {
 def cmd_pfc(args) -> int:
     params = _resolve(args, dict(_PFC_DEFAULTS), required=("rho",))
     prism = _build_prism(params)
-    pl = _path_loss(params, _cast(int, params["d"], "d"))
+    pl = _path_loss(params, 3)
     rhos = _parse_grid(params["rho"])
     header = [
         "rho", "p_fc", "p_out", "in_regime",
@@ -267,7 +260,7 @@ def cmd_simulate(args) -> int:
     defaults = {**_PFC_DEFAULTS, "trials": 1000, "seed": None, "poisson": False}
     params = _resolve(args, defaults, required=("rho", "seed"))
     prism = _build_prism(params)
-    pl = _path_loss(params, _cast(int, params["d"], "d"))
+    pl = _path_loss(params, 3)
     model = Mimo(2, 2, pl)
     rhos = _parse_grid(params["rho"])
     breakdowns = pfc_analytic.assemble(prism, pl, rhos)
@@ -388,10 +381,11 @@ def cmd_field(args) -> int:
         prism = _build_prism(params)
         dim, (lo, hi) = 3, prism.bounding_box
         count = _field_node_count(rho * prism.volume)
-    if grid_n**dim > _MAX_GRID_POINTS:
+    cap = _MAX_JSON_GRID_POINTS if args.format == "json" else _MAX_GRID_POINTS
+    if grid_n**dim > cap:
         raise DomainError(
             f"grid {grid_n} makes {grid_n**dim} points in {dim} dimensions, "
-            f"more than {_MAX_GRID_POINTS}"
+            f"more than {cap} for {args.format} output"
         )
     model = _field_model(params, dim)
 
@@ -408,7 +402,7 @@ def cmd_field(args) -> int:
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
     slabs = _field_slabs(axes, None if prism is None else prism.contains_many, points, model)
     header = ["x", "y", "z"][:dim] + ["value"]
-    if args.format == "json":  # one table in memory: meant for small grids
+    if args.format == "json":  # one table in memory, hence its tighter cap
         rows = [
             row for _, lattice, values in slabs
             for row in np.column_stack((lattice, values)).tolist()
@@ -444,7 +438,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--config", help="JSON file of parameters; flags win on conflict")
 
 
-def _add_prism_flags(sub, dimension: bool) -> None:
+def _add_prism_flags(sub) -> None:
     """The prism, path-loss and density flags of pfc, simulate and field."""
     sub.add_argument("--prism", help="house | cube | path to a prism JSON file")
     sub.add_argument(
@@ -452,8 +446,6 @@ def _add_prism_flags(sub, dimension: bool) -> None:
     )
     sub.add_argument("--beta", type=float, help="path-loss scale beta")
     sub.add_argument("--eta", type=float, help="path-loss exponent eta")
-    if dimension:
-        sub.add_argument("--d", type=int, help="spatial dimension")
     sub.add_argument(
         "--rho", help="node density; a start:stop:step or comma-list sweep (field takes one value)"
     )
@@ -477,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mass)
 
     p = sub.add_parser("pfc", help="analytic connectivity probability curves")
-    _add_prism_flags(p, dimension=True)
+    _add_prism_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_pfc)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates across a density grid")
-    _add_prism_flags(p, dimension=True)
+    _add_prism_flags(p)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--poisson", action="store_true", default=None,
@@ -492,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="connection-probability field of one realization")
     p.add_argument("--square", type=float, help="side of a 2D square domain (or use --prism)")
-    _add_prism_flags(p, dimension=False)
+    _add_prism_flags(p)
     p.add_argument("--model", choices=("siso", "simo", "mimo", "unitdisk"))
     p.add_argument("--m", "--n", dest="k", type=int, help="diversity order for simo/mimo")
     p.add_argument("--radius", type=float, help="unit-disk connection radius")
@@ -522,7 +514,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (DomainError, InvalidPrismError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, InvalidPrismError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, OverflowError) as exc:

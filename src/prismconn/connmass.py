@@ -5,15 +5,15 @@ integral_0^inf r^(d-1) H(r) dr; multiplied by the solid angle available
 to a boundary point it controls the exponential suppression of isolated
 nodes there.  This module provides the closed forms for every fading
 model, an independent adaptive-quadrature evaluation of the defining
-integral, the large-m / large-n leading-order terms, and the step-function
-approximation with its error split.
+integral, the large-m / large-n leading-order terms (the step-function
+approximation) and the error split of that step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,19 +38,14 @@ __all__ = [
     "mass_quadrature",
     "mass_scaling_leading",
     "mass_simo_closed",
-    "mass_step_approx",
     "step_error",
 ]
 
-MassMethod = Literal["closed_form", "quadrature", "step_approx"]
-
-
 @dataclass(frozen=True)
 class MassResult:
-    """A value of M' (units length^d) with its evaluation method tag."""
+    """A value of M' (units length^d) with its estimated absolute error."""
 
     value: float
-    method: MassMethod
     est_abs_error: float = 0.0
 
 
@@ -62,7 +57,7 @@ def mass_simo_closed(m: int, params: PathLossParams) -> MassResult:
     value = math.exp(specfun.log_gamma(m + nu) - specfun.log_gamma(m)) / (
         params.beta**nu * params.dim
     )
-    return MassResult(value, "closed_form")
+    return MassResult(value)
 
 
 def mass_mimo_closed(n: int, params: PathLossParams) -> MassResult:
@@ -79,7 +74,7 @@ def mass_mimo_closed(n: int, params: PathLossParams) -> MassResult:
     f_plain = specfun.gauss_2f1(n - 1, 2 * n + nu, n + 1, -1.0)
     f_shift = specfun.gauss_2f1(n - 1 + nu, 2 * n + nu, n + 1 + nu, -1.0)
     bracket = f_plain / n - (n - 1) / ((n + nu) * (n - 1 + nu)) * f_shift
-    return MassResult(linear + prefactor * bracket, "closed_form")
+    return MassResult(linear + prefactor * bracket)
 
 
 def mass_mimo_n2_specialization(params: PathLossParams) -> float:
@@ -199,21 +194,25 @@ def _quad(
     return value, abs_err
 
 
+def _step_radius(model: ConnectionModel) -> float:
+    """(k / beta)^(1/eta): where H of diversity order k drops like a step."""
+    return (model.diversity / model.params.beta) ** (1.0 / model.params.eta)
+
+
 def mass_quadrature(model: ConnectionModel) -> MassResult:
     """M' by adaptive quadrature of the defining radial integral."""
     d = model.params.dim
-    transition = (model.diversity / model.params.beta) ** (1.0 / model.params.eta)
     value, abs_err = _quad(
         lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
         0.0,
         support_radius(model),
-        breakpoints=(transition,),
+        breakpoints=(_step_radius(model),),
     )
-    return MassResult(value, "quadrature", abs_err)
+    return MassResult(value, abs_err)
 
 
 def mass_scaling_leading(model: ConnectionModel) -> float:
-    """Leading-order M' = k^(d/eta) / (beta^(d/eta) d) for diversity order k."""
+    """Step-function M' = k^(d/eta) / (beta^(d/eta) d), the leading order for diversity k."""
     if not isinstance(model, (SimoMiso, Mimo)):
         raise CapabilityError(
             f"leading-order scaling applies to SimoMiso/Mimo, not {type(model).__name__}"
@@ -223,26 +222,18 @@ def mass_scaling_leading(model: ConnectionModel) -> float:
     return model.diversity**nu / (p.beta**nu * p.dim)
 
 
-def mass_step_approx(n: int, params: PathLossParams) -> MassResult:
-    """Step-function approximation (1/d)(n/beta)^(d/eta) of the MIMO mass."""
-    if n < 2:
-        raise DomainError(f"step approximation requires n >= 2, got {n}")
-    nu = params.dim / params.eta
-    return MassResult((n / params.beta) ** nu / params.dim, "step_approx")
-
-
 def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
     """Error split (eps_minus <= 0, eps_plus >= 0) of the step approximation.
 
     eps_minus integrates r^(d-1) (H(r) - 1) below the transition radius,
     eps_plus integrates r^(d-1) H(r) above it; their sum plus the step
-    value reconstructs the exact mass.
+    value, `mass_scaling_leading`, reconstructs the exact mass.
     """
     if n < 2:
         raise DomainError(f"step error requires n >= 2, got {n}")
     model = Mimo(2, n, params)
     d = params.dim
-    transition = (n / params.beta) ** (1.0 / params.eta)
+    transition = _step_radius(model)
     eps_minus, _ = _quad(
         lambda r: r ** (d - 1) * (pair_connectedness_many(model, r) - 1.0), 0.0, transition
     )

@@ -22,13 +22,11 @@ __all__ = [
     "BoundaryFeature",
     "RightPrism",
     "cube_prism",
-    "distance",
     "enumerate_features",
     "house_prism",
     "load_prism",
     "preset_prism",
     "prism_from_dict",
-    "prism_to_dict",
     "sample_uniform",
     "sample_uniform_rng",
 ]
@@ -246,13 +244,6 @@ def preset_prism(name: str, length: float) -> RightPrism:
     return builder(length)
 
 
-def prism_to_dict(prism: RightPrism) -> dict:
-    return {
-        "base_vertices": [[x, y] for x, y in prism.base_vertices],
-        "height": prism.height,
-    }
-
-
 def prism_from_dict(data: dict) -> RightPrism:
     try:
         verts = tuple((float(x), float(y)) for x, y in data["base_vertices"])
@@ -298,12 +289,3 @@ def sample_uniform(prism: RightPrism, count: int, seed: int) -> np.ndarray:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     return sample_uniform_rng(prism, count, np.random.default_rng(int(seed)))
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two points."""
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    if not (np.isfinite(pa).all() and np.isfinite(qa).all()):
-        raise DomainError("points must have finite coordinates")
-    return float(np.linalg.norm(pa - qa))

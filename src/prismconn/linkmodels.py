@@ -146,27 +146,22 @@ class Mimo:
 class UnitDisk:
     """Hard connection threshold at a fixed radius.
 
-    The value exactly at the radius defaults to exp(-beta), the
-    complementary exponential CDF evaluated at the scale constant; it is
-    measure-zero for every integral in this package.
+    The value exactly at the radius is exp(-beta), the complementary
+    exponential CDF evaluated at the scale constant; it is measure-zero for
+    every integral in this package.
     """
 
     radius: float
     params: PathLossParams
-    plateau: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be a positive finite real, got {self.radius}")
-        if self.plateau is None:
-            object.__setattr__(self, "plateau", math.exp(-self.params.beta))
-        if not 0.0 <= self.plateau <= 1.0:
-            raise DomainError(f"plateau must lie in [0, 1], got {self.plateau}")
 
     diversity = 1
 
     def h(self, r):
-        return (r < self.radius) * 1.0 + (r == self.radius) * self.plateau
+        return (r < self.radius) * 1.0 + (r == self.radius) * math.exp(-self.params.beta)
 
 
 ConnectionModel = Union[Siso, SimoMiso, Mimo, UnitDisk]

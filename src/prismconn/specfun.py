@@ -1,8 +1,8 @@
 """Special functions backing every connectivity formula.
 
 Log-gamma, the regularized/unregularized incomplete gamma functions, the
-Poisson head sum behind integer-order upper gammas, the Gauss
-hypergeometric function on z in [-1, 0], and the error function.
+Poisson head sum behind integer-order upper gammas and the Gauss
+hypergeometric function on z in [-1, 0].
 The incomplete gammas are thin wrappers over `scipy.special` that accept a
 scalar or an array of x; gamma magnitudes are handled in log space so only
 final results can overflow.
@@ -23,7 +23,6 @@ from scipy import special as _sp
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "erf",
     "gauss_2f1",
     "log_gamma",
     "poisson_head",
@@ -42,13 +41,6 @@ def log_gamma(a: float) -> float:
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError(f"log_gamma requires finite a > 0, got {a}")
     return math.lgamma(a)
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires finite x, got {x}")
-    return math.erf(x)
 
 
 def _x_ok(x) -> bool:

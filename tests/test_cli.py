@@ -169,6 +169,28 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config_text, argv",
+    [
+        ('[ "rho" ]', ["--config", "{config}"]),
+        ("5", ["--config", "{config}"]),
+        (None, ["--config", "{directory}"]),
+        (None, ["--prism", "{directory}", "--rho", "0.5"]),
+        (None, ["--rho", "0.5", "--output", "{directory}"]),
+    ],
+    ids=["config-list", "config-number", "config-directory", "prism-directory",
+         "output-directory"],
+)
+def test_unusable_file_argument_is_a_usage_error(config_text, argv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if config_text is not None:
+        config.write_text(config_text, encoding="utf-8")
+    argv = [arg.format(config=config, directory=tmp_path) for arg in argv]
+    assert run_cli(["pfc", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 fast = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # characters no int() or float() accepts alone, and that spell no inf or nan
 malformed = st.text(alphabet="xyz#?/", min_size=1, max_size=4)
@@ -374,6 +396,35 @@ def test_manifest_round_trip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# Manifests as pfc and simulate wrote them while they still took --d, whose
+# only accepted value was 3.
+RETIRED_D_MANIFESTS = {
+    "pfc": {"beta": 1.0, "d": 3, "eta": 2.0, "length": 7.0, "prism": "house",
+            "rho": [0.1, 0.5, 0.9]},
+    "simulate": {"beta": 1.0, "d": 3, "eta": 2.0, "length": 7.0, "poisson": False,
+                 "prism": "house", "rho": [0.5, 0.87], "seed": 9, "trials": 50},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RETIRED_D_MANIFESTS))
+def test_manifest_with_retired_d_replays(command, tmp_path):
+    old = RETIRED_D_MANIFESTS[command]
+    config = tmp_path / "old.manifest.json"
+    config.write_text(json.dumps(
+        {"command": command, "package_version": "0.1.0", "parameters": old}
+    ))
+    replay, direct = tmp_path / "replay.csv", tmp_path / "direct.csv"
+    assert run_cli([command, "--config", str(config), "--output", str(replay)]) == 0
+    flags = ["--prism", "house", "--L", "7", "--beta", "1", "--eta", "2",
+             "--rho", ",".join(map(str, old["rho"]))]
+    if command == "simulate":
+        flags += ["--seed", "9", "--trials", "50"]
+    assert run_cli([command, *flags, "--output", str(direct)]) == 0
+    assert replay.read_bytes() == direct.read_bytes()
+    rewritten = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
+    assert rewritten["parameters"] == {k: v for k, v in old.items() if k != "d"}
+
+
 def test_config_flags_win(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"model": "siso", "d": 2, "eta": "2", "beta": 1.0}))
@@ -439,8 +490,8 @@ def test_run_checks_registry():
 COMMON_FLAGS = ("-h", "--help", "--output", "--format", "--manifest", "--config")
 FLAGS = {
     "mass": ("--model", "--m", "--n", "--d", "--eta", "--beta"),
-    "pfc": ("--prism", "--L", "--beta", "--eta", "--d", "--rho"),
-    "simulate": ("--prism", "--L", "--beta", "--eta", "--d", "--rho",
+    "pfc": ("--prism", "--L", "--beta", "--eta", "--rho"),
+    "simulate": ("--prism", "--L", "--beta", "--eta", "--rho",
                  "--trials", "--seed", "--poisson"),
     "field": ("--square", "--prism", "--L", "--model", "--m", "--n", "--radius",
               "--beta", "--eta", "--rho", "--grid", "--seed"),
@@ -613,6 +664,12 @@ def test_field_grid_cap_comes_before_any_draw(monkeypatch, capsys):
     assert "more than 10000000" in capsys.readouterr().err
     assert run_cli(field + ["--square", "5", "--grid", "3163"]) == 2
     assert "more than 10000000" in capsys.readouterr().err
+    # --format json holds the whole table in memory, so its cap is tighter
+    json_field = field + ["--format", "json"]
+    assert run_cli(json_field + ["--prism", "cube", "--L", "3", "--grid", "47"]) == 2
+    assert "more than 100000 for json" in capsys.readouterr().err
+    assert run_cli(json_field + ["--square", "5", "--grid", "317"]) == 2
+    assert "more than 100000 for json" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -17,7 +17,6 @@ from prismconn.connmass import (
     mass_quadrature,
     mass_scaling_leading,
     mass_simo_closed,
-    mass_step_approx,
     step_error,
 )
 from prismconn.errors import CapabilityError, ConvergenceError, DomainError
@@ -88,7 +87,6 @@ def test_quadrature_unit_disk_and_siso():
     )
     result = mass_quadrature(Siso(PathLossParams(1.0, 2.0, 2)))
     assert result.value == pytest.approx(0.5, abs=1e-10)
-    assert result.method == "quadrature"
     assert result.est_abs_error < 1e-10
 
 
@@ -166,15 +164,14 @@ def test_simo_and_mimo_scaling_orders():
 
 def test_step_approx_values():
     params = PathLossParams(1.0, 2.0, 3)
-    assert mass_step_approx(2, params).value == pytest.approx(2.0**1.5 / 3.0, rel=1e-14)
-    assert mass_step_approx(8, params).value == pytest.approx(8.0**1.5 / 3.0, rel=1e-14)
-    assert mass_step_approx(8, params).method == "step_approx"
-    gap16 = abs(
-        mass_mimo_closed(16, params).value - mass_step_approx(16, params).value
-    ) / mass_step_approx(16, params).value
-    gap64 = abs(
-        mass_mimo_closed(64, params).value - mass_step_approx(64, params).value
-    ) / mass_step_approx(64, params).value
+
+    def step(n):
+        return mass_scaling_leading(Mimo(2, n, params))
+
+    assert step(2) == pytest.approx(2.0**1.5 / 3.0, rel=1e-14)
+    assert step(8) == pytest.approx(8.0**1.5 / 3.0, rel=1e-14)
+    gap16 = abs(mass_mimo_closed(16, params).value - step(16)) / step(16)
+    gap64 = abs(mass_mimo_closed(64, params).value - step(64)) / step(64)
     assert gap64 < gap16
 
 
@@ -185,14 +182,14 @@ def test_step_error_signs_and_reconciliation():
     assert eps_plus >= 0.0
     assert eps_minus == pytest.approx(-0.07181606351355035, rel=1e-8)
     assert eps_plus == pytest.approx(1.5202451654437237, rel=1e-8)
-    total = mass_step_approx(2, params).value + eps_minus + eps_plus
+    total = mass_scaling_leading(Mimo(2, 2, params)) + eps_minus + eps_plus
     exact = mass_quadrature(Mimo(2, 2, params)).value
     assert total == pytest.approx(exact, rel=1e-8)
     for n, d, eta in ((32, 2, 2.0), (8, 3, 4.0)):
         p = PathLossParams(1.0, eta, d)
         em, ep = step_error(n, p)
         assert em <= 0.0 <= ep
-        assert mass_step_approx(n, p).value + em + ep == pytest.approx(
+        assert mass_scaling_leading(Mimo(2, n, p)) + em + ep == pytest.approx(
             mass_quadrature(Mimo(2, n, p)).value, rel=1e-8
         )
 
@@ -218,8 +215,6 @@ def test_capability_and_domain_errors():
         mass_mimo_closed(1, params)
     with pytest.raises(DomainError):
         mass_simo_closed(0, params)
-    with pytest.raises(DomainError):
-        mass_step_approx(1, params)
 
 
 def test_scaling_slope_helper_validation():

@@ -14,13 +14,11 @@ from prismconn.geometry import (
     BoundaryFeature,
     RightPrism,
     cube_prism,
-    distance,
     enumerate_features,
     house_prism,
     load_prism,
     preset_prism,
     prism_from_dict,
-    prism_to_dict,
     sample_uniform,
 )
 
@@ -323,17 +321,9 @@ def test_sampling_chi_square_uniformity():
     assert chi2 < stats.chi2.ppf(0.999, df=7)
 
 
-def test_distance():
-    assert distance((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
-    assert distance((0, 0, 0), (1, 1, 1)) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    assert distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        distance((0, 0, math.inf), (0, 0, 0))
-
-
 def test_prism_json_round_trip(tmp_path):
     house = house_prism(3.0)
-    data = prism_to_dict(house)
+    data = {"base_vertices": [list(v) for v in house.base_vertices], "height": house.height}
     again = prism_from_dict(json.loads(json.dumps(data)))
     assert again == house
     path = tmp_path / "prism.json"

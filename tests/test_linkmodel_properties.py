@@ -30,12 +30,7 @@ fading_models = st.one_of(
 )
 models = st.one_of(
     fading_models,
-    st.builds(
-        UnitDisk,
-        st.floats(0.1, 10.0),
-        params,
-        st.one_of(st.none(), st.floats(0.0, 1.0)),
-    ),
+    st.builds(UnitDisk, st.floats(0.1, 10.0), params),
 )
 distances = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20)
 

@@ -147,14 +147,9 @@ def test_det_form_capability_error():
 
 def test_unit_disk_values_and_plateau_default():
     disk = UnitDisk(2.0, P3)
-    assert disk.plateau == pytest.approx(math.exp(-1.0))
     assert pair_connectedness(disk, 1.9) == 1.0
-    assert pair_connectedness(disk, 2.0) == disk.plateau
+    assert pair_connectedness(disk, 2.0) == math.exp(-1.0)
     assert pair_connectedness(disk, 2.1) == 0.0
-    custom = UnitDisk(1.0, P3, plateau=0.25)
-    assert pair_connectedness(custom, 1.0) == 0.25
-    with pytest.raises(DomainError):
-        UnitDisk(1.0, P3, plateau=1.5)
     with pytest.raises(DomainError):
         UnitDisk(-1.0, P3)
 
@@ -189,7 +184,9 @@ def test_mimo_step_behavior():
 def mpmath_h(model, r):
     """H at 30 digits from regularized mpmath incomplete gammas."""
     if isinstance(model, UnitDisk):
-        return 1.0 if r < model.radius else model.plateau if r == model.radius else 0.0
+        if r == model.radius:
+            return math.exp(-model.params.beta)
+        return 1.0 if r < model.radius else 0.0
     x = mpmath.mpf(model.params.beta) * mpmath.mpf(float(r)) ** mpmath.mpf(model.params.eta)
     if isinstance(model, Siso):
         return mpmath.exp(-x)

@@ -15,7 +15,6 @@ from scipy import integrate, special
 
 from prismconn.errors import DomainError
 from prismconn.specfun import (
-    erf,
     gauss_2f1,
     log_gamma,
     poisson_head,
@@ -148,11 +147,6 @@ def test_log_gamma_factorials():
         assert math.exp(log_gamma(n + 1.0)) == pytest.approx(
             math.factorial(n), rel=1e-12
         )
-
-
-def test_erf_matches_reference():
-    for x in (-2.0, -0.3, 0.0, 0.5, 3.1):
-        assert erf(x) == pytest.approx(float(special.erf(x)), rel=1e-14, abs=1e-15)
 
 
 # ------------------------------------------------------------- properties
