@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: mass | pfc | simulate | field | validate.  Every run resolves
-its parameters (config file first, flags win), can echo them to a manifest
-JSON sufficient to reproduce the run bit-for-bit via --config, and emits
-CSV or JSON tables.  Exit codes: 0 success, 2 usage error, 3 capability
-error, 4 validation/convergence failure.
+Subcommands: mass | pfc | simulate | field | validate.  Each command
+declares its parameters once, in a table (`_PARAMS`); a run resolves them
+(config file first, flags win), can echo them to a manifest JSON sufficient
+to reproduce the run bit-for-bit via --config, and emits CSV or JSON tables.
+Exit codes: 0 success, 2 usage error, 3 capability error, 4
+validation/convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -17,18 +19,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, connmass, mc_sim, pfc_analytic, validation
-from .errors import (
-    CapabilityError,
-    ConvergenceError,
-    DomainError,
-    InvalidPrismError,
-)
-from .geometry import RightPrism, load_prism, preset_prism, sample_uniform_rng
-from .linkmodels import Mimo, PathLossParams, SimoMiso, Siso, UnitDisk
+from .errors import CapabilityError, ConvergenceError, DomainError, InvalidPrismError
+from .geometry import RightPrism, check_seed, load_prism, preset_prism, sample_uniform_rng
+from .linkmodels import Mimo, PathLossParams, SimoMiso, UnitDisk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,11 +35,22 @@ EXIT_VALIDATION = 4
 
 
 def _cast(kind, value, where: str):
-    """kind(value); a malformed value is a usage error naming it and where it was."""
+    """kind(value); a malformed value is a usage error naming it and where it was.
+
+    Only a bool reads as a bool and a str as a str, and no int is read from a
+    bool or a fractional float."""
     try:
+        if kind in (bool, str) and type(value) is not kind:
+            raise TypeError
+        if kind in (int, float) and type(value) is bool:
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from None
 
 
 _MAX_VALUES = 10**6  # longest range a spec may expand to
@@ -68,9 +77,9 @@ def _parse_int_spec(spec) -> list[int]:
     """Integers: lo..hi (inclusive), a comma list, or one value."""
     if isinstance(spec, (list, tuple)):
         return _nonempty([_cast(int, v, "integer list") for v in spec], spec)
-    if isinstance(spec, int):
-        return [spec]
-    text = str(spec).strip()
+    if not isinstance(spec, str):
+        return [_cast(int, spec, "number spec")]
+    text = spec.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo_i, hi_i = _cast(int, lo, f"range {text!r}"), _cast(int, hi, f"range {text!r}")
@@ -86,9 +95,9 @@ def _parse_grid(spec) -> list[float]:
     """Reals: start:stop:step, a comma list, or one value."""
     if isinstance(spec, (list, tuple)):
         return _nonempty([_cast(float, v, "grid list") for v in spec], spec)
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
-    text = str(spec).strip()
+    if not isinstance(spec, str):
+        return [_cast(float, spec, "number spec")]
+    text = spec.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -111,6 +120,63 @@ def _parse_grid(spec) -> list[float]:
     return _nonempty([_cast(float, tok, f"grid {text!r}") for tok in tokens], spec)
 
 
+class Param(NamedTuple):
+    """A command parameter: `kind` reads flag and config values (see `_cast`), a bool is
+    a store_true flag, and only a parameter whose default is None may be None."""
+
+    flags: tuple[str, ...]
+    kind: Callable
+    default: object = None
+    help: str | None = None
+
+
+_BETA = Param(("--beta",), float, 1.0, "path-loss scale beta")
+_SEED = Param(("--seed",), int, None, "random seed, a non-negative integer")
+_SPEC = "start:stop:step, a comma list or one value"
+_PRISM = {
+    "prism": Param(("--prism",), str, "house", "house | cube | path to a prism JSON file"),
+    "length": Param(("--L",), float, 7.0, "scale length of a house or cube preset"),
+    "beta": _BETA,
+    "eta": Param(("--eta",), float, 2.0, "path-loss exponent eta"),
+    "rho": Param(("--rho",), _parse_grid, None, f"node densities: {_SPEC}"),
+}
+_PARAMS = {
+    "mass": {
+        "model": Param(("--model",), str, None, "siso | simo | mimo"),
+        "k": Param(("--m", "--n"), _parse_int_spec, "2..8", "diversity orders: 1..64, 2,4,8, ..."),
+        "d": Param(("--d",), int, 3, "spatial dimension (1, 2, or 3)"),
+        "eta": Param(("--eta",), _parse_grid, "2", f"path-loss exponents: {_SPEC}"),
+        "beta": _BETA,
+    },
+    "pfc": _PRISM,
+    "simulate": {
+        **_PRISM,
+        "trials": Param(("--trials",), int, 1000, "Monte Carlo trials per density"),
+        "seed": _SEED,
+        "poisson": Param(("--poisson",), bool, False, "draw a Poisson node count per trial"),
+    },
+    "field": {
+        "square": Param(("--square",), float, None, "side of a 2D square domain (or --prism)"),
+        **_PRISM,
+        "prism": _PRISM["prism"]._replace(default=None),
+        "length": _PRISM["length"]._replace(default=None),
+        "rho": Param(("--rho",), float, None, "node density (one value)"),
+        "model": Param(("--model",), str, "siso", "siso | simo | mimo | unitdisk"),
+        "k": Param(("--m", "--n"), int, 2, "diversity order for simo/mimo"),
+        "radius": Param(("--radius",), float, 1.0, "unit-disk connection radius"),
+        "grid": Param(("--grid",), int, 200, "grid points per axis"),
+        "seed": _SEED,
+    },
+    "validate": {
+        "check": Param(("--check",), str, None, "comma-separated subset of checks to run"),
+        "perturb": Param(("--perturb",), bool, False, "negative control: inject a wrong constant"),
+    },
+}
+# Keys older manifests carry that a command no longer takes, with the one
+# value such a manifest may hold.
+_RETIRED = {"pfc": {"d": 3}, "simulate": {"d": 3}}
+
+
 def _render(fmt: str, header: list[str], rows: list[list], extra: dict | None = None) -> str:
     if fmt == "csv":
         # csv.writer writes a float by repr, an int by str and None as an
@@ -128,86 +194,97 @@ def _render(fmt: str, header: list[str], rows: list[list], extra: dict | None = 
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _opened(args):
+    """The output file, or stdout when there is none."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
+            yield out
+    else:
+        yield sys.stdout
+
+
 def _write_output(args, header: list[str], rows: list[list], extra: dict | None = None) -> None:
     text = _render(args.format, header, rows, extra)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _opened(args) as out:
+        out.write(text)
 
 
-def _write_manifest(args, command: str, params: dict) -> None:
-    manifest_path = args.manifest
-    if manifest_path is None and args.output:
-        manifest_path = str(args.output) + ".manifest.json"
-    if manifest_path is None:
+def _write_manifest(args, params: dict) -> None:
+    path = args.manifest or (args.output and f"{args.output}.manifest.json")
+    if not path:
         return
-    payload = {"command": command, "package_version": __version__, "parameters": params}
-    Path(manifest_path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    payload = {"command": args.command, "package_version": __version__, "parameters": params}
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolve(args, defaults: dict, required: tuple[str, ...] = ()) -> dict:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    params = dict(defaults)
+def _resolve(args, required: tuple[str, ...] = ()) -> dict:
+    """Each parameter: its flag, else its config value, else its default, read by its type."""
+    table = _PARAMS[args.command]
+    config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            config = json.load(fh)
+        if not isinstance(config, dict):
             raise DomainError(f"config {args.config}: not a JSON object")
-        if "parameters" in loaded and isinstance(loaded["parameters"], dict):
-            loaded = loaded["parameters"]
-        for key in defaults:
-            if key in loaded:
-                params[key] = loaded[key]
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            params[key] = flag_value
-    missing = [k for k in required if params.get(k) is None]
+        if isinstance(config.get("parameters"), dict):
+            config = config["parameters"]
+        retired = _RETIRED.get(args.command, {})
+        for key in sorted(config.keys() - table.keys()):
+            if key not in retired or config[key] != retired[key]:
+                raise DomainError(
+                    f"config {args.config}: {args.command} takes no {key}={config[key]!r}"
+                )
+    params = {}
+    for key, param in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, param.default)
+        unset = value is None and param.default is None
+        params[key] = None if unset else _cast(param.kind, value, key)
+    missing = [k for k in required if params[k] is None]
     if missing:
         raise DomainError(f"missing required parameters: {', '.join(sorted(missing))}")
     return params
 
 
-def _path_loss(params: dict, dim: int) -> PathLossParams:
-    return PathLossParams(
-        _cast(float, params["beta"], "beta"), _cast(float, params["eta"], "eta"), dim
-    )
-
-
 def _build_prism(params: dict) -> RightPrism:
-    name = str(params["prism"])
-    if name in ("house", "cube"):
-        return preset_prism(name, _cast(float, params["length"], "length"))
-    return load_prism(name)
+    name = params["prism"]
+    if name not in ("house", "cube"):
+        return load_prism(name)
+    if params["length"] is None:
+        raise DomainError(f"prism preset {name!r} needs a length (--L)")
+    return preset_prism(name, params["length"])
+
+
+def _link_model(kind: str, k: int, radius: float, pl: PathLossParams):
+    """The link model a --model name selects, with diversity order k."""
+    if kind == "unitdisk":
+        return UnitDisk(radius, pl)
+    if kind not in ("siso", "simo", "mimo"):
+        raise DomainError(f"unknown model {kind!r}; models: siso, simo, mimo, unitdisk")
+    return Mimo(2, k, pl) if kind == "mimo" else SimoMiso(1 if kind == "siso" else k, pl)
 
 
 def cmd_mass(args) -> int:
-    defaults = {"model": None, "k": "2..8", "d": 3, "eta": "2", "beta": 1.0}
-    params = _resolve(args, defaults, required=("model",))
-    kind = str(params["model"])
+    """Homogeneous connectivity mass sweeps."""
+    params = _resolve(args, required=("model",))
+    kind, d, beta = params["model"], params["d"], params["beta"]
     if kind not in ("siso", "simo", "mimo"):
         raise DomainError(f"mass supports models siso|simo|mimo, got {kind!r}")
-    ks = [1] if kind == "siso" else _parse_int_spec(params["k"])
-    etas = _parse_grid(params["eta"])
-    beta = _cast(float, params["beta"], "beta")
-    d = _cast(int, params["d"], "d")
+    if kind == "siso":
+        params["k"] = [1]
+    closed_form = connmass.mass_mimo_closed if kind == "mimo" else connmass.mass_simo_closed
     header = [
         "model", "k", "d", "eta", "beta",
         "closed_form", "quadrature", "quad_abs_err", "leading_order", "rel_gap",
     ]
     rows = []
-    for eta in etas:
+    for eta in params["eta"]:
         pl = PathLossParams(beta, eta, d)
-        for k in ks:
-            if kind == "mimo":
-                closed = connmass.mass_mimo_closed(k, pl)
-                model = Mimo(2, k, pl)
-            else:
-                closed = connmass.mass_simo_closed(k, pl)
-                model = SimoMiso(k, pl)
+        for k in params["k"]:
+            closed = closed_form(k, pl)
+            model = _link_model(kind, k, None, pl)
             quad = connmass.mass_quadrature(model)
             leading = connmass.mass_scaling_leading(model)
             rows.append(
@@ -215,31 +292,22 @@ def cmd_mass(args) -> int:
                  quad.est_abs_error, leading, closed.value / leading - 1.0]
             )
     _write_output(args, header, rows)
-    _write_manifest(args, "mass", {**params, "k": ks, "eta": etas})
+    _write_manifest(args, params)
     return EXIT_OK
 
 
-_PFC_DEFAULTS = {
-    "prism": "house",
-    "length": 7.0,
-    "beta": 1.0,
-    "eta": 2.0,
-    "rho": None,
-}
-
-
 def cmd_pfc(args) -> int:
-    params = _resolve(args, dict(_PFC_DEFAULTS), required=("rho",))
+    """Analytic connectivity probability curves."""
+    params = _resolve(args, required=("rho",))
     prism = _build_prism(params)
-    pl = _path_loss(params, 3)
-    rhos = _parse_grid(params["rho"])
+    pl = PathLossParams(params["beta"], params["eta"], 3)
     header = [
         "rho", "p_fc", "p_out", "in_regime",
         "p_fc_bulk", "p_fc_bulk_faces", "p_fc_bulk_faces_edges",
         "term_corners", "term_edges", "term_faces", "term_bulk",
     ]
     rows = []
-    for b in pfc_analytic.assemble(prism, pl, rhos):
+    for b in pfc_analytic.assemble(prism, pl, params["rho"]):
         sums = pfc_analytic.class_term_sums(b)
         cumulative = pfc_analytic.cumulative_pfc(b)
         rows.append(
@@ -252,28 +320,25 @@ def cmd_pfc(args) -> int:
         args, header, rows,
         extra={"feature_table": pfc_analytic.feature_table(prism, pl)},
     )
-    _write_manifest(args, "pfc", {**params, "rho": rhos})
+    _write_manifest(args, params)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    defaults = {**_PFC_DEFAULTS, "trials": 1000, "seed": None, "poisson": False}
-    params = _resolve(args, defaults, required=("rho", "seed"))
+    """Monte Carlo estimates across a density grid."""
+    params = _resolve(args, required=("rho", "seed"))
     prism = _build_prism(params)
-    pl = _path_loss(params, 3)
+    pl = PathLossParams(params["beta"], params["eta"], 3)
     model = Mimo(2, 2, pl)
-    rhos = _parse_grid(params["rho"])
-    breakdowns = pfc_analytic.assemble(prism, pl, rhos)
-    trials = _cast(int, params["trials"], "trials")
-    seed = _cast(int, params["seed"], "seed")
+    breakdowns = pfc_analytic.assemble(prism, pl, params["rho"])
     header = [
         "rho", "n_nodes", "trials", "p_fc_hat", "ci_low", "ci_high",
         "mean_isolated", "p_fc_analytic",
     ]
     rows = []
-    for rho, breakdown in zip(rhos, breakdowns):
+    for rho, breakdown in zip(params["rho"], breakdowns):
         config = mc_sim.McConfig.from_density(
-            prism, model, rho, trials, seed, poisson=bool(params["poisson"])
+            prism, model, rho, params["trials"], params["seed"], poisson=params["poisson"]
         )
         est = mc_sim.run_trials(config)
         rows.append(
@@ -281,22 +346,8 @@ def cmd_simulate(args) -> int:
              est.ci_low, est.ci_high, est.mean_isolated, breakdown.p_fc]
         )
     _write_output(args, header, rows)
-    _write_manifest(args, "simulate", {**params, "rho": rhos})
+    _write_manifest(args, params)
     return EXIT_OK
-
-
-def _field_model(params: dict, dim: int):
-    pl = _path_loss(params, dim)
-    kind = str(params["model"])
-    if kind == "siso":
-        return Siso(pl)
-    if kind == "simo":
-        return SimoMiso(_cast(int, params["k"], "m"), pl)
-    if kind == "mimo":
-        return Mimo(2, _cast(int, params["k"], "m"), pl)
-    if kind == "unitdisk":
-        return UnitDisk(_cast(float, params["radius"], "radius"), pl)
-    raise DomainError(f"field supports models siso|simo|mimo|unitdisk, got {kind!r}")
 
 
 def _field_node_count(expected: float) -> int:
@@ -349,30 +400,19 @@ def _write_field_csv(out, header: list[str], axes, slabs) -> None:
 
 
 def cmd_field(args) -> int:
-    defaults = {
-        "square": None, "prism": None, "length": None, "model": "siso",
-        "k": 2, "radius": 1.0, "beta": 1.0, "eta": 2.0, "rho": None,
-        "grid": 200, "seed": None,
-    }
-    params = _resolve(args, defaults, required=("rho", "seed"))
-    if (params["square"] is None) == (params["prism"] is None):
+    """Connection-probability field of one realization."""
+    params = _resolve(args, required=("rho", "seed"))
+    side, rho, grid_n = params["square"], params["rho"], params["grid"]
+    if (side is None) == (params["prism"] is None):
         raise DomainError("field requires exactly one of --square or --prism")
-
-    rhos = _parse_grid(params["rho"])
-    if len(rhos) != 1:
-        raise DomainError(f"field takes one density, got {len(rhos)}: {params['rho']!r}")
-    rho = rhos[0]
     if not (math.isfinite(rho) and rho >= 0.0):
         raise DomainError(f"field density must be a non-negative finite real, got {rho}")
-    grid_n = _cast(int, params["grid"], "grid")
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points per axis, got {grid_n}")
-    seed = _cast(int, params["seed"], "seed")
 
     # The domain: a square [0, side]^2 or a prism inside its bounding box.
     prism = None
-    if params["square"] is not None:
-        side = _cast(float, params["square"], "square")
+    if side is not None:
         if not (math.isfinite(side) and side > 0.0):
             raise DomainError(f"square side must be a positive finite real, got {side}")
         dim, lo, hi = 2, (0.0, 0.0), (side, side)
@@ -387,9 +427,10 @@ def cmd_field(args) -> int:
             f"grid {grid_n} makes {grid_n**dim} points in {dim} dimensions, "
             f"more than {cap} for {args.format} output"
         )
-    model = _field_model(params, dim)
+    pl = PathLossParams(params["beta"], params["eta"], dim)
+    model = _link_model(params["model"], params["k"], params["radius"], pl)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(params["seed"]))
     if prism is None:
         points = rng.random((count, 2)) * side
     else:
@@ -408,47 +449,27 @@ def cmd_field(args) -> int:
             for row in np.column_stack((lattice, values)).tolist()
         ]
         _write_output(args, header, rows)
-    elif args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            _write_field_csv(out, header, axes, slabs)
     else:
-        _write_field_csv(sys.stdout, header, axes, slabs)
-    _write_manifest(args, "field", {**params, "rho": rho})
+        with _opened(args) as out:
+            _write_field_csv(out, header, axes, slabs)
+    _write_manifest(args, params)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    defaults = {"check": None, "perturb": False}
-    params = _resolve(args, defaults)
-    names = None
-    if params["check"]:
-        names = [tok for tok in str(params["check"]).split(",") if tok]
-    results = validation.run_checks(names, perturb=bool(params["perturb"]))
+    """Run the numerical self-check suite."""
+    params = _resolve(args)
+    names = [tok for tok in params["check"].split(",") if tok] if params["check"] else None
+    results = validation.run_checks(names, perturb=params["perturb"])
     header = ["check", "status", "detail"]
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
     _write_output(args, header, rows)
-    _write_manifest(args, "validate", params)
+    _write_manifest(args, params)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--output", help="output file (defaults to stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--manifest", help="write a reproduction manifest to this path")
-    sub.add_argument("--config", help="JSON file of parameters; flags win on conflict")
-
-
-def _add_prism_flags(sub) -> None:
-    """The prism, path-loss and density flags of pfc, simulate and field."""
-    sub.add_argument("--prism", help="house | cube | path to a prism JSON file")
-    sub.add_argument(
-        "--L", dest="length", type=float, help="scale length of a house or cube preset"
-    )
-    sub.add_argument("--beta", type=float, help="path-loss scale beta")
-    sub.add_argument("--eta", type=float, help="path-loss exponent eta")
-    sub.add_argument(
-        "--rho", help="node density; a start:stop:step or comma-list sweep (field takes one value)"
-    )
+_COMMANDS = {"mass": cmd_mass, "pfc": cmd_pfc, "simulate": cmd_simulate, "field": cmd_field,
+             "validate": cmd_validate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,48 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mass", help="homogeneous connectivity mass sweeps")
-    p.add_argument("--model", choices=("siso", "simo", "mimo"))
-    p.add_argument("--m", "--n", dest="k", help="diversity orders, e.g. 1..64 or 2,4,8")
-    p.add_argument("--d", type=int, help="spatial dimension (1, 2, or 3)")
-    p.add_argument("--eta", help="path-loss exponents: start:stop:step, a comma list or one value")
-    p.add_argument("--beta", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_mass)
-
-    p = sub.add_parser("pfc", help="analytic connectivity probability curves")
-    _add_prism_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_pfc)
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimates across a density grid")
-    _add_prism_flags(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--poisson", action="store_true", default=None,
-                   help="draw the node count from a Poisson distribution per trial")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("field", help="connection-probability field of one realization")
-    p.add_argument("--square", type=float, help="side of a 2D square domain (or use --prism)")
-    _add_prism_flags(p)
-    p.add_argument("--model", choices=("siso", "simo", "mimo", "unitdisk"))
-    p.add_argument("--m", "--n", dest="k", type=int, help="diversity order for simo/mimo")
-    p.add_argument("--radius", type=float, help="unit-disk connection radius")
-    p.add_argument("--grid", type=int, help="grid points per axis")
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("validate", help="run the numerical self-check suite")
-    p.add_argument("--check", help="comma-separated subset of checks to run")
-    p.add_argument("--perturb", action="store_true", default=None,
-                   help="inject a wrong constant (negative control; must fail)")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
+    for command, func in _COMMANDS.items():
+        p = sub.add_parser(command, help=func.__doc__)
+        # An absent flag is None: _resolve falls back to the config, then the default.
+        for key, param in _PARAMS[command].items():
+            action = "store_true" if param.kind is bool else "store"
+            p.add_argument(*param.flags, dest=key, action=action, default=None, help=param.help)
+        p.add_argument("--output", help="output file (defaults to stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--manifest", help="write a reproduction manifest to this path")
+        p.add_argument("--config", help="JSON file of parameters; flags win on conflict")
+        p.set_defaults(func=func)
     return parser
 
 

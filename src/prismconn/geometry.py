@@ -21,6 +21,7 @@ from .errors import DomainError, InvalidPrismError
 __all__ = [
     "BoundaryFeature",
     "RightPrism",
+    "check_seed",
     "cube_prism",
     "enumerate_features",
     "house_prism",
@@ -284,8 +285,13 @@ def sample_uniform_rng(
     return np.column_stack([xy, z])
 
 
+def check_seed(seed) -> int:
+    """The seed as an int if it is a non-negative integer (not a bool), else a DomainError."""
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def sample_uniform(prism: RightPrism, count: int, seed: int) -> np.ndarray:
     """Deterministic uniform sample: identical (seed, count) give identical points."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    return sample_uniform_rng(prism, count, np.random.default_rng(int(seed)))
+    return sample_uniform_rng(prism, count, np.random.default_rng(check_seed(seed)))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DomainError
-from .geometry import RightPrism, sample_uniform_rng
+from .geometry import RightPrism, check_seed, sample_uniform_rng
 from .linkmodels import ConnectionModel, pair_connectedness_many, support_radius
 
 __all__ = [
@@ -108,7 +108,7 @@ def connectivity_check(n: int, edges) -> tuple[bool, int]:
 def wilson_interval(
     successes: int, trials: int, z: float = Z_95
 ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, holding p_hat, within [0, 1]."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -117,7 +117,9 @@ def wilson_interval(
     denom = 1.0 + z * z / trials
     center = p_hat + z * z / (2.0 * trials)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials))
-    return (center - half) / denom, (center + half) / denom
+    low = 0.0 if successes == 0 else max(0.0, (center - half) / denom)
+    high = 1.0 if successes == trials else min(1.0, (center + half) / denom)
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ class McConfig:
             )
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self.seed)
         object.__setattr__(self, "cutoff", support_radius(self.model))
 
     @classmethod
@@ -322,9 +323,9 @@ def edge_resampling_estimate(
         raise DomainError(f"edge resampling needs at least 2 nodes, got {n}")
     if resamples < 1:
         raise DomainError(f"resamples must be >= 1, got {resamples}")
+    rng = np.random.default_rng(check_seed(seed))
     near, h = _pairs(pts, model)
     ii, jj = _pair_nodes(n, near)
-    rng = np.random.default_rng(int(seed))
 
     connected = 0
     isolated_total = 0

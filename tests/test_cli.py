@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prismconn
-from prismconn.cli import _FIELD_SLAB_POINTS, _parse_grid, _parse_int_spec, _render, main
+from prismconn.cli import (
+    _FIELD_SLAB_POINTS,
+    _PARAMS,
+    _cast,
+    _parse_grid,
+    _parse_int_spec,
+    _render,
+    main,
+)
 from prismconn.errors import DomainError
 from prismconn.geometry import house_prism, sample_uniform_rng
 from prismconn.linkmodels import Mimo, PathLossParams, Siso, UnitDisk
@@ -131,6 +139,7 @@ def test_usage_errors():
     assert run_cli(["mass", "--model", "warp", "--output", "/dev/null"]) == 2
     assert run_cli(["pfc", "--prism", "house", "--rho", "0:1:-1"]) == 2
     assert run_cli(["simulate", "--prism", "house", "--rho", "0.5"]) == 2  # no seed
+    assert run_cli(["field", "--square", "10", "--rho", "1", "--seed", "-1", "--grid", "3"]) == 2
     assert run_cli(["nonsense"]) == 2
 
 
@@ -439,6 +448,86 @@ def test_config_flags_win(tmp_path):
     assert float(rows[0][header.index("closed_form")]) == pytest.approx(
         0.125, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("simulate", {"rho": 0.5, "seed": 1, "trials": 2, "poisson": "false"}, "poisson: "),
+        ("validate", {"check": "exponent-rates", "perturb": "false"}, "perturb: "),
+        ("simulate", {"rho": 0.5, "seed": 1, "trials": 2.7}, "trials: "),
+        ("mass", {"model": "simo", "k": True}, "k: "),
+        ("pfc", {"rho": 0.5, "d": 2}, "pfc takes no d=2"),
+        ("simulate", {"rho": 0.5, "seed": 1, "trials": 2, "d": 2}, "simulate takes no d=2"),
+        ("pfc", {"rho": 0.5, "bta": 4}, "pfc takes no bta=4"),
+        ("field", {"square": 5, "rho": 0.3, "seed": 1, "d": 3}, "field takes no d=3"),
+    ],
+    ids=["poisson-string", "perturb-string", "trials-fraction", "k-bool",
+         "pfc-d-2", "simulate-d-2", "pfc-misspelt-beta", "field-d"],
+)
+def test_config_value_the_command_cannot_take_is_a_usage_error(
+    command, params, message, tmp_path, capsys
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(params), encoding="utf-8")
+    assert run_cli([command, "--config", str(config), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        ("mass", {"model": "unitdisk"}),
+        ("field", {"square": 5, "rho": 0.3, "seed": 1, "grid": 3, "model": "warp"}),
+    ],
+    ids=["mass", "field"],
+)
+def test_unknown_model_is_a_usage_error_from_flag_or_config(command, params, tmp_path):
+    out = ["--output", str(tmp_path / "o")]
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    assert run_cli([command, *flags, *out]) == 2
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(params), encoding="utf-8")
+    assert run_cli([command, "--config", str(config), *out]) == 2
+
+
+# Each command run once from flags and once from a config holding the same
+# values as JSON types: both read through one path, so the bytes agree.
+SAME_RUN = {
+    "mass": (["--model", "mimo", "--m", "2..4", "--eta", "2,3", "--beta", "1"],
+             {"model": "mimo", "k": [2, 3, 4], "eta": [2, 3], "beta": 1}),
+    "pfc": (["--prism", "house", "--L", "7", "--rho", "0.1:0.3:0.1", "--eta", "2"],
+            {"prism": "house", "length": 7, "rho": [0.1, 0.2, 0.3], "eta": 2.0}),
+    "simulate": (["--rho", "0.5", "--trials", "5", "--seed", "3", "--poisson"],
+                 {"rho": 0.5, "trials": 5, "seed": 3, "poisson": True}),
+    "field": (["--square", "4", "--rho", "0.5", "--model", "simo", "--m", "3",
+               "--grid", "5", "--seed", "2"],
+              {"square": 4, "rho": 0.5, "model": "simo", "k": 3.0, "grid": 5, "seed": 2}),
+    "validate": (["--check", "exponent-rates", "--perturb"],
+                 {"check": "exponent-rates", "perturb": True}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAME_RUN))
+def test_flags_and_config_give_the_same_bytes(command, tmp_path):
+    argv, params = SAME_RUN[command]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(params), encoding="utf-8")
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    code = run_cli([command, *argv, "--output", str(by_flags)])
+    assert code in (0, 4)  # the perturbed validate run fails its check
+    assert run_cli([command, "--config", str(config), "--output", str(by_config)]) == code
+    assert by_flags.read_bytes() == by_config.read_bytes()
+    manifest = Path(f"{by_flags}.manifest.json").read_bytes()
+    assert manifest == Path(f"{by_config}.manifest.json").read_bytes()
+
+
+def test_table_defaults_read_through_their_types():
+    for table in _PARAMS.values():
+        for key, param in table.items():
+            if param.default is not None:
+                _cast(param.kind, param.default, key)
 
 
 def test_default_manifest_alongside_output(tmp_path):

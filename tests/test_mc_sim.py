@@ -22,6 +22,8 @@ from prismconn.linkmodels import (
 from prismconn.mc_sim import (
     _FIELD_BLOCK_PAIRS,
     _PAIR_TABLE_BYTES,
+    Z_95,
+    Z_99,
     McConfig,
     UnionFind,
     _pair_nodes,
@@ -443,6 +445,15 @@ def test_edge_resampling_validation():
         )
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    with pytest.raises(DomainError, match="seed"):
+        edge_resampling_estimate(pts, Siso(P3), 10, seed)
+    with pytest.raises(DomainError, match="seed"):
+        McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=10, seed=seed)
+
+
 def test_wilson_interval_properties():
     low, high = wilson_interval(50, 100)
     assert low <= 0.5 <= high
@@ -454,6 +465,20 @@ def test_wilson_interval_properties():
         wilson_interval(5, 0)
     with pytest.raises(DomainError):
         wilson_interval(5, 4)
+
+
+@pytest.mark.parametrize("z", [Z_95, Z_99])
+def test_wilson_interval_holds_p_hat_inside_unit_interval(z):
+    # At 0 or n successes the closed form's rounding used to leave p_hat
+    # outside the interval or the interval outside [0, 1].
+    bad = []
+    for n in range(1, 3001):
+        for s in (0, n):
+            low, high = wilson_interval(s, n, z)
+            if not 0.0 <= low <= s / n <= high <= 1.0:
+                bad.append((s, n, low, high))
+    assert bad == []
+    assert wilson_interval(0, 50, z)[0] == 0.0 and wilson_interval(50, 50, z)[1] == 1.0
 
 
 def test_run_trials_ci_brackets_estimate():
