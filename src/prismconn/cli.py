@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, connmass, mc_sim, pfc_analytic, validation
+from . import __version__, connmass, geometry, mc_sim, pfc_analytic, validation
 from .errors import CapabilityError, ConvergenceError, DomainError, InvalidPrismError
 from .geometry import RightPrism, check_seed, load_prism, preset_prism, sample_uniform_rng
 from .linkmodels import Mimo, PathLossParams, SimoMiso, UnitDisk
@@ -62,62 +62,59 @@ _MAX_FIELD_NODES = 10**6  # most nodes a field realization may draw
 _FIELD_SLAB_POINTS = 4096
 
 
-def _nonempty(values: list, spec) -> list:
-    if not values:
-        raise DomainError(f"number spec {spec!r} has no values")
-    return values
-
-
 def _too_long(count: float, text: str) -> None:
     if count > _MAX_VALUES:
         raise DomainError(f"range {text!r} has more than {_MAX_VALUES} values")
 
 
+def _parse_list(kind, spec) -> list:
+    """A list, a comma list or one value, each read as `kind`; never empty."""
+    if not isinstance(spec, (list, tuple, str)):
+        return [_cast(kind, spec, "number spec")]
+    items = [tok for tok in spec.split(",") if tok] if isinstance(spec, str) else spec
+    values = [_cast(kind, v, f"list {spec!r}") for v in items]
+    if not values:
+        raise DomainError(f"number spec {spec!r} has no values")
+    return values
+
+
 def _parse_int_spec(spec) -> list[int]:
     """Integers: lo..hi (inclusive), a comma list, or one value."""
-    if isinstance(spec, (list, tuple)):
-        return _nonempty([_cast(int, v, "integer list") for v in spec], spec)
-    if not isinstance(spec, str):
-        return [_cast(int, spec, "number spec")]
+    if not (isinstance(spec, str) and ".." in spec):
+        return _parse_list(int, spec)
     text = spec.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = _cast(int, lo, f"range {text!r}"), _cast(int, hi, f"range {text!r}")
-        if hi_i < lo_i:
-            raise DomainError(f"empty integer range {text!r}")
-        _too_long(hi_i - lo_i + 1, text)
-        return list(range(lo_i, hi_i + 1))
-    tokens = [tok for tok in text.split(",") if tok]
-    return _nonempty([_cast(int, tok, f"list {text!r}") for tok in tokens], spec)
+    lo, hi = text.split("..", 1)
+    lo_i, hi_i = _cast(int, lo, f"range {text!r}"), _cast(int, hi, f"range {text!r}")
+    if hi_i < lo_i:
+        raise DomainError(f"empty integer range {text!r}")
+    _too_long(hi_i - lo_i + 1, text)
+    return list(range(lo_i, hi_i + 1))
 
 
 def _parse_grid(spec) -> list[float]:
     """Reals: start:stop:step, a comma list, or one value."""
-    if isinstance(spec, (list, tuple)):
-        return _nonempty([_cast(float, v, "grid list") for v in spec], spec)
-    if not isinstance(spec, str):
-        return [_cast(float, spec, "number spec")]
+    if not (isinstance(spec, str) and ":" in spec):
+        return _parse_list(float, spec)
     text = spec.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid spec must be start:stop:step, got {text!r}")
-        start, stop, step = (_cast(float, p, f"grid spec {text!r}") for p in parts)
-        finite = all(math.isfinite(v) for v in (start, stop, step))
-        if not finite or step <= 0.0 or stop < start:
-            raise DomainError(f"grid spec {text!r} does not define a finite forward range")
-        _too_long((stop - start) / step + 1.0, text)
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9 * step:
-                break
-            values.append(round(v, 12))
-            k += 1
-        return values
-    tokens = [tok for tok in text.split(",") if tok]
-    return _nonempty([_cast(float, tok, f"grid {text!r}") for tok in tokens], spec)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"grid spec must be start:stop:step, got {text!r}")
+    start, stop, step = (_cast(float, p, f"grid spec {text!r}") for p in parts)
+    finite = all(math.isfinite(v) for v in (start, stop, step))
+    if not finite or step <= 0.0 or stop < start:
+        raise DomainError(f"grid spec {text!r} does not define a finite forward range")
+    _too_long((stop - start) / step + 1.0, text)
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-9 * step:
+            break
+        values.append(round(v, 12))
+        k += 1
+    if len(set(values)) < len(values):
+        raise DomainError(f"grid spec {text!r} repeats values once rounded to 12 decimals")
+    return values
 
 
 class Param(NamedTuple):
@@ -250,7 +247,7 @@ def _resolve(args, required: tuple[str, ...] = ()) -> dict:
 
 def _build_prism(params: dict) -> RightPrism:
     name = params["prism"]
-    if name not in ("house", "cube"):
+    if name not in geometry._PRESETS:
         return load_prism(name)
     if params["length"] is None:
         raise DomainError(f"prism preset {name!r} needs a length (--L)")
@@ -410,17 +407,7 @@ def cmd_field(args) -> int:
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points per axis, got {grid_n}")
 
-    # The domain: a square [0, side]^2 or a prism inside its bounding box.
-    prism = None
-    if side is not None:
-        if not (math.isfinite(side) and side > 0.0):
-            raise DomainError(f"square side must be a positive finite real, got {side}")
-        dim, lo, hi = 2, (0.0, 0.0), (side, side)
-        count = _field_node_count(rho * side * side)
-    else:
-        prism = _build_prism(params)
-        dim, (lo, hi) = 3, prism.bounding_box
-        count = _field_node_count(rho * prism.volume)
+    dim = 2 if side is not None else 3
     cap = _MAX_JSON_GRID_POINTS if args.format == "json" else _MAX_GRID_POINTS
     if grid_n**dim > cap:
         raise DomainError(
@@ -431,9 +418,17 @@ def cmd_field(args) -> int:
     model = _link_model(params["model"], params["k"], params["radius"], pl)
 
     rng = np.random.default_rng(check_seed(params["seed"]))
-    if prism is None:
+    # The domain: a square [0, side]^2 or a prism inside its bounding box.
+    if side is not None:
+        if not (math.isfinite(side) and side > 0.0):
+            raise DomainError(f"square side must be a positive finite real, got {side}")
+        lo, hi, inside = (0.0, 0.0), (side, side), None
+        count = _field_node_count(rho * side * side)
         points = rng.random((count, 2)) * side
     else:
+        prism = _build_prism(params)
+        (lo, hi), inside = prism.bounding_box, prism.contains_many
+        count = _field_node_count(rho * prism.volume)
         points = sample_uniform_rng(prism, count, rng) if count else np.empty((0, 3))
     if count:
         # No node is farther from a lattice point than the box's corners are
@@ -441,7 +436,7 @@ def cmd_field(args) -> int:
         mc_sim.connection_field([hi], model, [lo])
 
     axes = [np.linspace(a, b, grid_n) for a, b in zip(lo, hi)]
-    slabs = _field_slabs(axes, None if prism is None else prism.contains_many, points, model)
+    slabs = _field_slabs(axes, inside, points, model)
     header = ["x", "y", "z"][:dim] + ["value"]
     if args.format == "json":  # one table in memory, hence its tighter cap
         rows = [

@@ -65,8 +65,10 @@ class RightPrism:
                     "base must be strictly convex and counter-clockwise "
                     f"(turn at vertex {(i + 1) % n} has cross product {cross})"
                 )
-        if self.base_area <= 0.0:
-            raise InvalidPrismError("base polygon has non-positive area")
+        # Left turns alone admit stars: the interior angles of a base that
+        # winds w times sum to (n - 2w) pi, so a star falls 2 pi or more short.
+        if sum(self.interior_angles) < (n - 3) * math.pi:
+            raise InvalidPrismError("base must wind exactly once, not trace a star")
 
     @property
     def n_sides(self) -> int:

@@ -12,13 +12,14 @@ equivalent forms so the three can be cross-checked.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import specfun
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, ConvergenceError, DomainError
 
 __all__ = [
     "ConnectionModel",
@@ -167,9 +168,13 @@ class UnitDisk:
 ConnectionModel = Union[Siso, SimoMiso, Mimo, UnitDisk]
 
 
-def _check_distance(r: float) -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r)) or r < 0.0:
-        raise DomainError(f"distance must be a non-negative finite real, got {r}")
+# float and int are Reals too; named first, they skip the slower ABC check.
+_DISTANCE_TYPES = (float, int, np.ndarray, numbers.Real)
+
+
+def _check_distance(r) -> None:
+    if not (isinstance(r, _DISTANCE_TYPES) and specfun._x_ok(r)):
+        raise DomainError("distances must be non-negative finite reals")
 
 
 def _clamp01(h):
@@ -182,7 +187,7 @@ def _clamp01(h):
 def pair_connectedness(model: ConnectionModel, r: float) -> float:
     """Probability that two nodes a distance r apart share a direct link."""
     _check_distance(r)
-    return float(model.h(r))
+    return float(model.h(float(r)))
 
 
 def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray:
@@ -192,8 +197,7 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
     the scalar evaluation bit for bit.
     """
     r = np.asarray(r, dtype=float)
-    if not specfun._x_ok(r):
-        raise DomainError("distances must be non-negative finite reals")
+    _check_distance(r)
     return model.h(r)
 
 
@@ -201,13 +205,14 @@ def support_radius(model: ConnectionModel) -> float:
     """Distance beyond which H is below the link-probability floor.
 
     Found by doubling then bisection on the scalar H, so it holds for any
-    model whose H is non-increasing in r.
+    model whose H is non-increasing in r.  A model whose H stays above the
+    floor at every finite double raises ConvergenceError.
     """
     hi = 1.0
-    for _ in range(200):
-        if pair_connectedness(model, hi) < _LINK_PROB_FLOOR:
-            break
+    while pair_connectedness(model, hi) >= _LINK_PROB_FLOOR:
         hi *= 2.0
+        if hi == math.inf:
+            raise ConvergenceError(f"H of {model} is above {_LINK_PROB_FLOOR} at every distance")
     lo, mid = 0.0, 0.5 * hi
     while lo < mid < hi:  # until lo and hi are adjacent doubles
         if pair_connectedness(model, mid) < _LINK_PROB_FLOOR:
@@ -237,7 +242,7 @@ def pair_connectedness_mimo_det(
             f"determinant form implemented for min(n_t, n_r) <= 2 only, got {m}"
         )
     _check_distance(r)
-    x = params.beta * r ** params.eta
+    x = params.beta * float(r) ** params.eta
 
     def gamma_lower(a: float) -> float:
         return math.exp(specfun.log_gamma(a)) * specfun.regularized_lower_gamma(a, x)
@@ -258,7 +263,7 @@ def mimo_gamma_form(n: int, params: PathLossParams, r: float) -> float:
     if n < 2:
         raise DomainError(f"gamma form requires n >= 2, got {n}")
     _check_distance(r)
-    x = params.beta * r ** params.eta
+    x = params.beta * float(r) ** params.eta
     g_lo = specfun.upper_incomplete_gamma(n - 1, x)
     g_mid = specfun.upper_incomplete_gamma(n, x)
     g_hi = specfun.upper_incomplete_gamma(n + 1, x)

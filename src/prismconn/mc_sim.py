@@ -162,8 +162,8 @@ class McConfig:
         seed: int,
         poisson: bool = False,
     ) -> "McConfig":
-        if rho <= 0.0:
-            raise DomainError(f"density must be positive, got {rho}")
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise DomainError(f"density must be a positive finite real, got {rho}")
         return cls(prism, model, round(rho * prism.volume), trials, seed, poisson)
 
 

@@ -145,10 +145,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     w = z / (z - 1.0)
-    if a >= 0.0 and c - b >= 0.0:
-        p, q, power = a, c - b, a
-    elif c - a >= 0.0 and b >= 0.0:
+    p, q, power = a, c - b, a
+    if not (a >= 0.0 and c - b >= 0.0) and c - a >= 0.0 and b >= 0.0:
         p, q, power = c - a, b, b
-    else:
-        p, q, power = a, c - b, a
     return (1.0 - z) ** (-power) * _hyp_series(p, q, c, w)

@@ -7,6 +7,7 @@ the exponent-rate check as a negative control.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -126,19 +127,24 @@ def _check_cross_form_h() -> CheckResult:
     )
 
 
+# One row per link family: its closed-form mass, its link of order k and the
+# orders the mass oracle checks.
+_FAMILIES = (
+    ("simo", connmass.mass_simo_closed, SimoMiso, (1, 3, 8)),
+    ("mimo", connmass.mass_mimo_closed, functools.partial(Mimo, 2), (2, 5, 8)),
+)
+
+
 def _check_mass_oracle() -> CheckResult:
     worst = 0.0
     for d in (1, 2, 3):
         for eta in (2.0, 3.0, 4.0):
             params = PathLossParams(1.0, eta, d)
-            for m in (1, 3, 8):
-                closed = connmass.mass_simo_closed(m, params).value
-                quad = connmass.mass_quadrature(SimoMiso(m, params)).value
-                worst = max(worst, abs(closed - quad) / quad)
-            for n in (2, 5, 8):
-                closed = connmass.mass_mimo_closed(n, params).value
-                quad = connmass.mass_quadrature(Mimo(2, n, params)).value
-                worst = max(worst, abs(closed - quad) / quad)
+            for _, closed_form, link, orders in _FAMILIES:
+                for k in orders:
+                    closed = closed_form(k, params).value
+                    quad = connmass.mass_quadrature(link(k, params)).value
+                    worst = max(worst, abs(closed - quad) / quad)
     return CheckResult(
         "mass-oracle", worst < 1e-6, f"max relative gap {worst:.3e}"
     )
@@ -161,26 +167,16 @@ def _check_exponent_rates(perturb: bool = False) -> CheckResult:
 def _check_scaling_slopes() -> CheckResult:
     params = PathLossParams(1.0, 2.0, 3)
     ks = [4, 8, 16, 32, 64]
-    simo_gap = [
-        abs(
-            connmass.mass_simo_closed(m, params).value
-            / connmass.mass_scaling_leading(SimoMiso(m, params))
-            - 1.0
-        )
-        for m in ks
-    ]
-    mimo_gap = [
-        abs(
-            connmass.mass_mimo_closed(n, params).value
-            / connmass.mass_scaling_leading(Mimo(2, n, params))
-            - 1.0
-        )
-        for n in ks
-    ]
-    simo_slope = connmass.loglog_slope(ks, simo_gap)
-    mimo_slope = connmass.loglog_slope(ks, mimo_gap)
-    details = [f"simo {simo_slope:.3f}", f"mimo {mimo_slope:.3f}"]
-    ok = abs(simo_slope + 1.0) < 0.15 and abs(mimo_slope + 0.5) < 0.15
+    slopes = {
+        name: connmass.loglog_slope(ks, [
+            abs(closed_form(k, params).value
+                / connmass.mass_scaling_leading(link(k, params)) - 1.0)
+            for k in ks
+        ])
+        for name, closed_form, link, _ in _FAMILIES
+    }
+    details = [f"{name} {slope:.3f}" for name, slope in slopes.items()]
+    ok = abs(slopes["simo"] + 1.0) < 0.15 and abs(slopes["mimo"] + 0.5) < 0.15
     for d, eta in ((3, 2.0), (3, 3.0), (2, 4.0)):
         slope = connmass.error_order_fit([8, 16, 32, 64, 128], PathLossParams(1.0, eta, d))
         expected = d / eta - 0.5

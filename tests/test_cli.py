@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -251,6 +252,37 @@ def test_malformed_specs_raise_domain_error(token, good):
     for spec in ([], f"{good}:{good + 1}:1e-12", f"{good}:1e300:1"):
         with pytest.raises(DomainError):
             _parse_grid(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mass", "--model", "simo", "--m", "2", "--eta", "2:2.0000000000004:1e-13"],
+        ["pfc", "--rho", "0.5:0.5000000000003:1e-13"],
+    ],
+)
+def test_a_range_whose_rounded_values_repeat_is_a_usage_error(argv, capsys):
+    spec = argv[-1]
+    with pytest.raises(DomainError, match="repeats"):
+        _parse_grid(spec)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(spec) in captured.err
+
+
+def test_star_prism_is_a_usage_error(tmp_path, capsys):
+    star = [
+        [10 * math.cos(math.pi / 2 + 4 * math.pi * k / 5),
+         10 * math.sin(math.pi / 2 + 4 * math.pi * k / 5)]
+        for k in range(5)
+    ]
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"base_vertices": star, "height": 5}), encoding="utf-8")
+    assert run_cli(["pfc", "--prism", str(path), "--rho", "1"]) == 2
+    assert run_cli(["simulate", "--prism", str(path), "--rho", "1", "--trials", "2",
+                    "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error: base must wind exactly once") == 2
 
 
 def test_simulate_reproducible(tmp_path):

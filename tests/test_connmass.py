@@ -121,6 +121,14 @@ def test_power_scaling_in_beta():
         assert max(scaled) - min(scaled) <= 1e-10 * scaled[0]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_quadrature_tracks_the_closed_form_at_a_tiny_beta(m):
+    # the support radius lies past 2^200, at about 5.6e65
+    params = PathLossParams(1e-130, 2.0, 3)
+    closed = mass_simo_closed(m, params).value
+    assert mass_quadrature(SimoMiso(m, params)).value == pytest.approx(closed, rel=1e-9)
+
+
 def test_scaling_leading_values():
     assert mass_scaling_leading(SimoMiso(1, PathLossParams(1.0, 2.0, 2))) == (
         pytest.approx(0.5, rel=1e-14)

@@ -142,6 +142,22 @@ def test_invalid_prisms_rejected():
         RightPrism(((0, 0), (1, 0), (float("nan"), 1)), 1.0)
 
 
+def star_base(n, step, radius=10.0):
+    """The {n/step} star: every step-th vertex of a regular n-gon, all left turns."""
+    return tuple(
+        (radius * math.cos(math.pi / 2 + 2 * math.pi * step * k / n),
+         radius * math.sin(math.pi / 2 + 2 * math.pi * step * k / n))
+        for k in range(n)
+    )
+
+
+@pytest.mark.parametrize("n, step", [(5, 2), (7, 2), (7, 3)])
+def test_star_bases_are_rejected(n, step):
+    with pytest.raises(InvalidPrismError, match="wind exactly once"):
+        RightPrism(star_base(n, step), 5.0)
+    assert RightPrism(star_base(n, 1), 5.0).n_sides == n  # the same vertices, once round
+
+
 def inside_reference(prism, point):
     """One point against each half-plane; a NaN comparison counts as outside."""
     x, y, z = point

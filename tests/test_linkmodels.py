@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from prismconn.errors import CapabilityError, DomainError
+from prismconn.errors import CapabilityError, ConvergenceError, DomainError
 from prismconn.linkmodels import (
     Mimo,
     PathLossParams,
@@ -49,6 +49,30 @@ def test_siso_point_values():
         pair_connectedness(model, -0.1)
     with pytest.raises(DomainError):
         pair_connectedness(model, math.nan)
+
+
+@pytest.mark.parametrize("r", [np.float32(1.0), np.float64(1.5), np.int64(1), np.int8(2)])
+def test_numpy_scalar_distances_are_accepted(r):
+    # each H entry point takes what pair_connectedness_many takes, read as a double
+    expected = pair_connectedness_many(Siso(P3), [r])[0]
+    assert pair_connectedness(Siso(P3), r) == expected == pair_connectedness(Siso(P3), float(r))
+    assert pair_connectedness_mimo_det(2, 3, P3, r) == pair_connectedness_mimo_det(
+        2, 3, P3, float(r))
+    assert mimo_gamma_form(3, P3, r) == mimo_gamma_form(3, P3, float(r))
+
+
+@pytest.mark.parametrize("r", ["1.0", math.nan, math.inf, -math.inf, -0.5, np.float32(-1.0)])
+def test_unusable_distances_raise_in_every_entry_point(r):
+    entry_points = [
+        lambda: pair_connectedness(Siso(P3), r),
+        lambda: pair_connectedness_mimo_det(2, 3, P3, r),
+        lambda: mimo_gamma_form(3, P3, r),
+    ]
+    if not isinstance(r, str):  # the array entry point reads a numeric string as its number
+        entry_points.append(lambda: pair_connectedness_many(Siso(P3), [r]))
+    for h in entry_points:
+        with pytest.raises(DomainError):
+            h()
 
 
 def test_mimo_22_point_value():
@@ -271,3 +295,17 @@ def test_mimo_support_radius_sits_at_the_floor(n, beta, eta):
     with mpmath.workdps(30):
         h = mpmath_h(model, support_radius(model))
     assert abs(float(h) / 1e-12 - 1.0) < 1e-10
+
+
+def test_support_radius_is_bracketed_however_far():
+    # radii far past 2^200 are bracketed as tightly as small ones
+    assert support_radius(UnitDisk(1e300, P3)) == np.nextafter(1e300, math.inf)
+    for model in (UnitDisk(1e300, P3), SimoMiso(1, PathLossParams(1e-130, 2.0, 3))):
+        radius = support_radius(model)
+        below = np.nextafter(radius, 0.0)
+        assert pair_connectedness(model, radius) < 1e-12 <= pair_connectedness(model, below)
+
+
+def test_support_radius_past_the_doubles_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="UnitDisk"):
+        support_radius(UnitDisk(1e308, P3))

@@ -119,6 +119,12 @@ def test_config_validation():
     assert config.cutoff == support_radius(Siso(P3))
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_from_density_refuses_non_positive_or_non_finite_densities(rho):
+    with pytest.raises(DomainError, match="positive finite real"):
+        McConfig.from_density(cube_prism(2.0), Siso(P3), rho=rho, trials=10, seed=1)
+
+
 def test_connectivity_check_examples():
     assert connectivity_check(4, [(0, 1), (1, 2), (2, 3)]) == (True, 1)
     assert connectivity_check(3, []) == (False, 3)
