@@ -47,10 +47,10 @@ def _cast(kind, value, where: str):
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
         return kind(value)
+    except DomainError as exc:  # a ValueError too, so caught first
+        raise DomainError(f"{where}: {exc}") from None
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from None
 
 
 _MAX_VALUES = 10**6  # longest range a spec may expand to

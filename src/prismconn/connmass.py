@@ -49,15 +49,32 @@ class MassResult:
     est_abs_error: float = 0.0
 
 
+def _beta_scale(params: PathLossParams, mass: str) -> float:
+    """beta^(d/eta), which every closed-form mass divides by; 0 would overflow M'."""
+    scale = params.beta ** (params.dim / params.eta)
+    if scale == 0.0:
+        raise OverflowError(
+            f"{mass}: beta^(d/eta) = {params.beta}^{params.dim / params.eta} "
+            "underflows to 0, so M' overflows"
+        )
+    return scale
+
+
+def _finite_mass(value: float, mass: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{mass}: M' is not a finite double ({value})")
+    return value
+
+
 def mass_simo_closed(m: int, params: PathLossParams) -> MassResult:
     """Closed-form M' for an m-branch diversity link (m = 1 is SISO)."""
     if m < 1:
         raise DomainError(f"diversity order m must be >= 1, got {m}")
     nu = params.dim / params.eta
     value = math.exp(specfun.log_gamma(m + nu) - specfun.log_gamma(m)) / (
-        params.beta**nu * params.dim
+        _beta_scale(params, "mass_simo_closed") * params.dim
     )
-    return MassResult(value)
+    return MassResult(_finite_mass(value, "mass_simo_closed"))
 
 
 def mass_mimo_closed(n: int, params: PathLossParams) -> MassResult:
@@ -65,26 +82,28 @@ def mass_mimo_closed(n: int, params: PathLossParams) -> MassResult:
     if n < 2:
         raise CapabilityError(f"MIMO mass requires n >= 2, got {n}")
     nu = params.dim / params.eta
+    scale = _beta_scale(params, "mass_mimo_closed")
     linear = (1.0 - nu) * math.exp(
         specfun.log_gamma(n - 1 + nu) - specfun.log_gamma(n - 1)
-    ) / (params.beta**nu * params.dim)
+    ) / (scale * params.dim)
     prefactor = math.exp(specfun.log_gamma(2 * n + nu) - 2.0 * specfun.log_gamma(n)) / (
-        params.beta**nu * params.dim
+        scale * params.dim
     )
     f_plain = specfun.gauss_2f1(n - 1, 2 * n + nu, n + 1, -1.0)
     f_shift = specfun.gauss_2f1(n - 1 + nu, 2 * n + nu, n + 1 + nu, -1.0)
     bracket = f_plain / n - (n - 1) / ((n + nu) * (n - 1 + nu)) * f_shift
-    return MassResult(linear + prefactor * bracket)
+    return MassResult(_finite_mass(linear + prefactor * bracket, "mass_mimo_closed"))
 
 
 def mass_mimo_n2_specialization(params: PathLossParams) -> float:
     """The n = 2 MIMO mass in its reduced form, for cross-checking."""
     nu = params.dim / params.eta
-    return (
+    value = (
         (nu * nu + nu + 2.0 - 2.0 ** (-nu))
         * math.exp(specfun.log_gamma(nu))
-        / (params.beta**nu * params.eta)
+        / (_beta_scale(params, "mass_mimo_n2_specialization") * params.eta)
     )
+    return _finite_mass(value, "mass_mimo_n2_specialization")
 
 
 # QUADPACK's qk21: the 10 positive Kronrod abscissae on [-1, 1] (the Gauss
@@ -219,7 +238,8 @@ def mass_scaling_leading(model: ConnectionModel) -> float:
         )
     p = model.params
     nu = p.dim / p.eta
-    return model.diversity**nu / (p.beta**nu * p.dim)
+    value = model.diversity**nu / (_beta_scale(p, "mass_scaling_leading") * p.dim)
+    return _finite_mass(value, "mass_scaling_leading")
 
 
 def step_error(n: int, params: PathLossParams) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import DomainError
 from .geometry import RightPrism, check_seed, sample_uniform_rng
-from .linkmodels import ConnectionModel, pair_connectedness_many, support_radius
+from .linkmodels import H_BLOCK, ConnectionModel, pair_connectedness_many, support_radius
 
 __all__ = [
     "McConfig",
@@ -40,12 +40,12 @@ _EXACT_MAX_NODES = 12
 # Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
 # uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
 _RESAMPLE_CHUNK_BYTES = 10_000_000
-# Bytes a trial's condensed pair-distance table may take (8 per pair); the
-# mask, indices and H of the pairs in range take several times more.
+# Bytes a trial's condensed pair-distance table may take (8 per pair).  A
+# trial holds it in a `_PairTable` with reused buffers of four doubles and a
+# bool per pair (distances, distances in range, H, uniforms; range and link
+# masks), plus the condensed indices of the pairs in range and O(H_BLOCK)
+# for H's temporaries.
 _PAIR_TABLE_BYTES = 100_000_000
-# Grid-node pairs per block of a connection field: the distances, H and the
-# MIMO H's temporaries (about six float64 arrays, 0.75 MB) stay in L2 cache.
-_FIELD_BLOCK_PAIRS = 16_384
 
 Z_95 = 1.959963984540054
 Z_99 = 2.5758293035489004
@@ -202,6 +202,42 @@ def _pairs(points: np.ndarray, model: ConnectionModel, cutoff: float = math.inf)
     return near, pair_connectedness_many(model, dists[near])
 
 
+class _PairTable:
+    """`_pairs` and the link draw for the trials of one run, in reused buffers.
+
+    The buffers grow to the largest pair count seen, so the trials fault
+    their pages in once: arrays this large are handed back to the OS when
+    freed, and fresh ones would be faulted in again by every trial.  For a
+    single node set, as in the oracles, `_pairs` is cheaper.  The arrays a
+    call returns are views into the buffers, valid until the next call.
+    """
+
+    def __init__(self) -> None:
+        self._grow(0)
+
+    def _grow(self, pairs: int) -> None:
+        self.dists, self.r, self.h, self.u = (np.empty(pairs) for _ in range(4))
+        self.mask = np.empty(pairs, dtype=bool)
+
+    def pairs(self, points: np.ndarray, model: ConnectionModel, cutoff: float):
+        """`_pairs(points, model, cutoff)`, bit for bit."""
+        n = len(points)
+        size = n * (n - 1) // 2
+        if size > self.dists.size:
+            self._grow(size)
+        dists = pdist(points, out=self.dists[:size])
+        far = np.greater(dists, cutoff, out=self.mask[:size])
+        near = np.flatnonzero(np.logical_not(far, out=far))
+        # mode="clip" writes straight into out; "raise" would buffer it
+        r = np.take(dists, near, out=self.r[: near.size], mode="clip")
+        return near, pair_connectedness_many(model, r, out=self.h[: near.size])
+
+    def links(self, near: np.ndarray, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The pairs of `near` that link, each with probability h, by one uniform each."""
+        u = rng.random(out=self.u[: h.size])
+        return near[np.less(u, h, out=self.mask[: h.size])]
+
+
 def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
     """One trial: returns (fully connected, number of isolated nodes).
 
@@ -209,6 +245,10 @@ def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
     run or in what order.  A trial with an isolated node is decided without
     its components.
     """
+    return _trial(config, index, _PairTable())
+
+
+def _trial(config: McConfig, index: int, table: _PairTable) -> tuple[bool, int]:
     rng = _trial_rng(config.seed, index)
     n = int(rng.poisson(config.node_count)) if config.poisson else config.node_count
     if n == 0:
@@ -216,9 +256,8 @@ def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
     points = sample_uniform_rng(config.prism, n, rng)
     if n == 1:
         return True, 1
-    near, h = _pairs(points, config.model, config.cutoff)
-    linked = near[rng.random(h.size) < h]
-    src, dst = _pair_nodes(n, linked)
+    near, h = table.pairs(points, config.model, config.cutoff)
+    src, dst = _pair_nodes(n, table.links(near, h, rng))
 
     degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     isolated = n - int(np.count_nonzero(degree))
@@ -240,8 +279,9 @@ def run_trials(config: McConfig) -> McEstimate:
     """Estimate P_fc over independent trials with a 95% Wilson interval."""
     connected = 0
     isolated_total = 0
+    table = _PairTable()
     for t in range(config.trials):
-        ok, isolated = run_trial(config, t)
+        ok, isolated = _trial(config, t, table)
         connected += ok
         isolated_total += isolated
     low, high = wilson_interval(connected, config.trials)
@@ -369,9 +409,10 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
             f"points are {pts.shape[1]}-dimensional but grid is {grid.shape[1]}-dimensional"
         )
     values = np.empty(len(grid))
-    # Node-major blocks: the product over nodes multiplies whole rows, in the
-    # same node order as a product along each grid point's row.
-    cols = max(1, _FIELD_BLOCK_PAIRS // len(pts))
+    # Node-major blocks of at most H_BLOCK pairs, one H block each: the
+    # product over nodes multiplies whole rows, in the same node order as a
+    # product along each grid point's row.
+    cols = max(1, H_BLOCK // len(pts))
     for start in range(0, len(grid), cols):
         h = pair_connectedness_many(model, cdist(pts, grid[start : start + cols]))
         miss = np.subtract(1.0, h, out=h)

@@ -179,6 +179,27 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_spec_errors_keep_their_reason(capsys):
+    assert run_cli(["mass", "--model", "simo", "--m", "1..1000000000000"]) == 2
+    assert "more than 1000000 values" in capsys.readouterr().err
+    assert run_cli(["pfc", "--rho", ","]) == 2
+    assert "has no values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, m, beta",
+    [("simo", "1", "1e-320"), ("simo", "2", "1e-300"), ("mimo", "2", "1e-308"),
+     ("simo", "1", "2e-207")],
+)
+def test_closed_mass_overflow_is_a_numerical_failure(model, m, beta, tmp_path, capsys):
+    out = tmp_path / "mass.csv"
+    argv = ["mass", "--model", model, "--m", m, "--beta", beta, "--output", str(out)]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: mass_")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config_text, argv",
     [

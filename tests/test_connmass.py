@@ -129,6 +129,49 @@ def test_quadrature_tracks_the_closed_form_at_a_tiny_beta(m):
     assert mass_quadrature(SimoMiso(m, params)).value == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "mass",
+    [
+        lambda p: mass_simo_closed(1, p).value,
+        lambda p: mass_simo_closed(2, p).value,
+        lambda p: mass_mimo_closed(2, p).value,
+        lambda p: mass_mimo_closed(3, p).value,
+        mass_mimo_n2_specialization,
+        lambda p: mass_scaling_leading(SimoMiso(3, p)),
+        lambda p: mass_scaling_leading(Mimo(2, 4, p)),
+    ],
+    ids=["simo1", "simo2", "mimo2", "mimo3", "mimo_n2", "leading_simo3", "leading_mimo4"],
+)
+def test_closed_masses_refuse_to_overflow(mass):
+    # beta^(3/2) is 0 at 1e-300 and subnormal at 2e-207 (M' ~ 1e310, not a double)
+    for beta in (1e-320, 1e-300, 2e-207):
+        with pytest.raises(OverflowError, match="mass|M'"):
+            mass(PathLossParams(beta, 2.0, 3))
+    # large but finite masses still come back
+    for beta in (1e-200, 1e-100, 1.0, 1e100):
+        assert math.isfinite(mass(PathLossParams(beta, 2.0, 3)))
+
+
+def test_closed_masses_keep_their_bits():
+    # the formulas the guards wrap, written out
+    log_gamma = connmass.specfun.log_gamma
+    for beta in (1e-200, 1e-7, 0.37, 1.0, 3.0, 1e150):
+        for d, eta in ((1, 2.0), (2, 3.0), (3, 2.0), (3, 4.5)):
+            p = PathLossParams(beta, eta, d)
+            nu = d / eta
+            for m in (1, 2, 5):
+                assert mass_simo_closed(m, p).value == (
+                    math.exp(log_gamma(m + nu) - log_gamma(m))
+                    / (beta**nu * d)
+                )
+                assert mass_scaling_leading(SimoMiso(m, p)) == m**nu / (beta**nu * d)
+            assert mass_mimo_n2_specialization(p) == (
+                (nu * nu + nu + 2.0 - 2.0 ** (-nu))
+                * math.exp(log_gamma(nu))
+                / (beta**nu * eta)
+            )
+
+
 def test_scaling_leading_values():
     assert mass_scaling_leading(SimoMiso(1, PathLossParams(1.0, 2.0, 2))) == (
         pytest.approx(0.5, rel=1e-14)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
+from prismconn import linkmodels, mc_sim
 from prismconn.errors import DomainError
 from prismconn.geometry import cube_prism, house_prism, sample_uniform_rng
 from prismconn.linkmodels import (
+    H_BLOCK,
     Mimo,
     PathLossParams,
     SimoMiso,
@@ -20,7 +23,6 @@ from prismconn.linkmodels import (
     support_radius,
 )
 from prismconn.mc_sim import (
-    _FIELD_BLOCK_PAIRS,
     _PAIR_TABLE_BYTES,
     Z_95,
     Z_99,
@@ -181,6 +183,123 @@ def test_run_trial_matches_reference_trial():
             sizes.add(int(rng.poisson(config.node_count)) if config.poisson else config.node_count)
     assert sum(c.trials for c in configs) == 200
     assert {0, 1, 2} <= sizes
+
+
+def unbuffered_trial(config, index):
+    """The trial body on fresh arrays: new distances, pairs in range and
+    uniforms for every trial, and one unblocked H call."""
+    rng = _trial_rng(config.seed, index)
+    n = int(rng.poisson(config.node_count)) if config.poisson else config.node_count
+    if n == 0:
+        return True, 0
+    points = sample_uniform_rng(config.prism, n, rng)
+    if n == 1:
+        return True, 1
+    dists = pdist(points)
+    near = np.flatnonzero(~(dists > config.cutoff))
+    h = config.model.h(dists[near])
+    linked = near[rng.random(h.size) < h]
+    src, dst = _pair_nodes(n, linked)
+    isolated = n - int(np.count_nonzero(np.bincount(np.concatenate((src, dst)), minlength=n)))
+    if isolated:
+        return False, isolated
+    return connectivity_check(n, np.column_stack((src, dst)))[0], 0
+
+
+TRIAL_MODELS = [Mimo(2, 2, P3), Siso(P3), SimoMiso(3, P3)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+@pytest.mark.parametrize("model", TRIAL_MODELS, ids=["mimo", "siso", "simo"])
+def test_buffered_trials_match_unbuffered_reference(monkeypatch, model, block):
+    # house L = 3 holds about 43 nodes per unit density; block 1 and 7 put H
+    # block edges everywhere and leave a ragged last block
+    monkeypatch.setattr(linkmodels, "H_BLOCK", block)
+    trials = 6 if block == 1 else 30
+    for rho in (0.2, 0.6, 1.4):
+        for poisson in (False, True):
+            config = McConfig.from_density(house_prism(3.0), model, rho, trials, 21, poisson)
+            expected = [unbuffered_trial(config, t) for t in range(trials)]
+            assert [run_trial(config, t) for t in range(trials)] == expected, (rho, poisson)
+            connected = sum(ok for ok, _ in expected)
+            estimate = run_trials(config)
+            assert (estimate.p_fc_hat, estimate.mean_isolated) == (
+                connected / trials, sum(iso for _, iso in expected) / trials
+            )
+
+
+def test_buffered_trials_match_at_the_benchmark_size():
+    # N = 373 in the house: about 46k pairs in range, three H blocks
+    config = McConfig.from_density(house_prism(7.0), Mimo(2, 2, P3), 0.87, 4, 5, True)
+    assert [run_trial(config, t) for t in range(4)] == [
+        unbuffered_trial(config, t) for t in range(4)
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, H_BLOCK, 10**9])
+@pytest.mark.parametrize(
+    "model",
+    TRIAL_MODELS[:2] + [SimoMiso(1, P3), UnitDisk(1.2, P3)],
+    ids=["mimo", "siso", "simo1", "unitdisk"],
+)
+def test_pair_connectedness_many_bits_with_and_without_out(monkeypatch, model, block):
+    monkeypatch.setattr(linkmodels, "H_BLOCK", block)
+    rng = np.random.default_rng(block)
+    count = 40 if block == 1 else 3 * H_BLOCK + 5
+    flat = rng.random(count) * 6.0
+    flat[:3] = (0.0, 1.2, np.nextafter(1.2, 0.0))
+    for r in (flat, flat[: count - count % 5].reshape(5, -1)):
+        whole = model.h(r)
+        fresh = pair_connectedness_many(model, r)
+        out = np.full(r.shape, np.nan)
+        assert pair_connectedness_many(model, r, out=out) is out
+        assert fresh.shape == out.shape == r.shape
+        assert fresh.tobytes() == out.tobytes() == whole.tobytes()
+    with pytest.raises(ValueError):
+        pair_connectedness_many(model, flat, out=np.empty(count + 1))
+    with pytest.raises(ValueError):
+        pair_connectedness_many(model, flat, out=np.empty(2 * count)[::2])
+
+
+def test_run_trials_reuses_one_pair_table(monkeypatch):
+    model = Mimo(2, 2, P3)
+    h_sizes, many_calls, tables = [], [], []
+    original_h, original_many, original_pdist = Mimo.h, mc_sim.pair_connectedness_many, mc_sim.pdist
+
+    def spy_h(self, r):
+        h_sizes.append(np.size(r))
+        return original_h(self, r)
+
+    def spy_many(*args, **kwargs):
+        many_calls.append(1)
+        return original_many(*args, **kwargs)
+
+    def spy_pdist(points, out=None):
+        tables.append(out)
+        return original_pdist(points, out=out)
+
+    monkeypatch.setattr(Mimo, "h", spy_h)
+    monkeypatch.setattr(mc_sim, "pair_connectedness_many", spy_many)
+    monkeypatch.setattr(mc_sim, "pdist", spy_pdist)
+    monkeypatch.setattr(linkmodels, "H_BLOCK", 64)
+    for poisson in (False, True):
+        config = McConfig(cube_prism(2.0), model, 12, 40, 3, poisson)
+        for log in (h_sizes, many_calls, tables):
+            log.clear()
+        run_trials(config)
+        sizes = []
+        for t in range(config.trials):
+            rng = _trial_rng(config.seed, t)
+            sizes.append(int(rng.poisson(12)) if poisson else 12)
+        assert max(h_sizes) <= 64
+        assert len(many_calls) == len(tables) == sum(n >= 2 for n in sizes)
+        # one buffer per new largest pair count; every other trial reuses it
+        bases = [table.base for table in tables]
+        pairs = [n * (n - 1) // 2 for n in sizes if n >= 2]
+        records = sum(p > max(pairs[:i], default=-1) for i, p in enumerate(pairs))
+        assert len({id(b) for b in bases}) == records
+        if not poisson:
+            assert records == 1 and all(b is bases[0] for b in bases)
 
 
 def test_union_find_against_bfs():
@@ -558,7 +677,7 @@ def benchmark_field_inputs(domain, nodes, rng):
         (SimoMiso(3, PathLossParams(0.7, 3.0, 3)), 90, 777),
         (UnitDisk(1.2, P2), 60, 641),
         (Siso(P2), 1, 300),
-        (Siso(P2), _FIELD_BLOCK_PAIRS + 3, 5),  # blocks of one grid point
+        (Siso(P2), H_BLOCK + 3, 5),  # blocks of one grid point
         (Mimo(2, 2, P3), 343, "house 24"),  # the shapes the benchmark times
         (Siso(P2), 150, "square 200"),
     ],
@@ -574,7 +693,7 @@ def test_connection_field_matches_reference(model, nodes, grid_count):
     if isinstance(model, UnitDisk):
         grid[:nodes, 0] = pts[:, 0] + model.radius  # distances at or next to the radius
         grid[:nodes, 1:] = pts[:, 1:]
-    cols = max(1, _FIELD_BLOCK_PAIRS // nodes)
+    cols = max(1, H_BLOCK // nodes)
     assert len(grid) % cols != 0 or cols == 1  # a short last block
     values = connection_field(pts, model, grid)
     assert values.tobytes() == reference_field(pts, model, grid).tobytes()
