@@ -14,10 +14,11 @@ grids.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DomainError
 from .geometry import RightPrism, check_seed, sample_uniform_rng
@@ -40,11 +41,12 @@ _EXACT_MAX_NODES = 12
 # Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
 # uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
 _RESAMPLE_CHUNK_BYTES = 10_000_000
-# Bytes a trial's condensed pair-distance table may take (8 per pair).  A
-# trial holds it in a `_PairTable` with reused buffers of four doubles and a
-# bool per pair (distances, distances in range, H, uniforms; range and link
-# masks), plus the condensed indices of the pairs in range and O(H_BLOCK)
-# for H's temporaries.
+# Bytes a trial's condensed pair-distance table may take at 8 per pair: at
+# most 5000 nodes.  A trial really takes about ten times that (a `_PairTable`
+# of four doubles and a bool per pair, the indices of the pairs in range and
+# of the links, the links' (i, j), H's temporaries): one trial of 5000 nodes,
+# every pair in range (cube of side 2, MIMO 2x2, beta = 1, eta = 2), peaked
+# at 1.08 GB RSS, 1.01 GB above import, or about 81 bytes per pair.
 _PAIR_TABLE_BYTES = 100_000_000
 
 Z_95 = 1.959963984540054
@@ -144,8 +146,8 @@ class McConfig:
         table = 8 * (self.node_count * (self.node_count - 1) // 2)
         if table > _PAIR_TABLE_BYTES:
             raise DomainError(
-                f"node_count {self.node_count} needs a {table / 1e6:.0f} MB pair table "
-                f"per trial, more than {_PAIR_TABLE_BYTES / 1e6:.0f} MB"
+                f"node_count {self.node_count} needs a {round(table, -6) // 10**6} MB "
+                f"pair table per trial, more than {_PAIR_TABLE_BYTES // 10**6} MB"
             )
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
@@ -164,7 +166,9 @@ class McConfig:
     ) -> "McConfig":
         if not (math.isfinite(rho) and rho > 0.0):
             raise DomainError(f"density must be a positive finite real, got {rho}")
-        return cls(prism, model, round(rho * prism.volume), trials, seed, poisson)
+        # A count past the largest double stops there, far above the node cap.
+        count = min(rho * prism.volume, sys.float_info.max)
+        return cls(prism, model, round(count), trials, seed, poisson)
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,14 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _points(values) -> np.ndarray:
+    """A point set as floats, one point per row; a 1-D input is points on a line."""
+    pts = np.asarray(values, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise DomainError(f"a point set must be 1-D or 2-D, got {pts.ndim}-D")
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
 def _pair_nodes(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the pairs i < j of n nodes at condensed (`pdist`) indices k."""
     starts = np.zeros(n - 1, dtype=np.intp)  # condensed index of (i, i + 1)
@@ -190,26 +202,13 @@ def _pair_nodes(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, k - starts[i] + i + 1
 
 
-def _pairs(points: np.ndarray, model: ConnectionModel, cutoff: float = math.inf):
-    """The pairs i < j at most `cutoff` apart, as condensed indices, with their H.
-
-    `_pair_nodes` maps condensed indices back to (i, j). Points may be rows of
-    coordinates or, on a line, bare scalars. A NaN distance is kept, so H
-    rejects it instead of the pair vanishing.
-    """
-    dists = pdist(points.reshape(len(points), -1))
-    near = np.flatnonzero(~(dists > cutoff))
-    return near, pair_connectedness_many(model, dists[near])
-
-
 class _PairTable:
-    """`_pairs` and the link draw for the trials of one run, in reused buffers.
+    """A trial's pairs in range, their H and its link draw, in reused buffers.
 
-    The buffers grow to the largest pair count seen, so the trials fault
-    their pages in once: arrays this large are handed back to the OS when
-    freed, and fresh ones would be faulted in again by every trial.  For a
-    single node set, as in the oracles, `_pairs` is cheaper.  The arrays a
-    call returns are views into the buffers, valid until the next call.
+    The buffers grow to the largest pair count seen, so the trials of one run
+    fault their pages in once: arrays this large are handed back to the OS
+    when freed, and fresh ones would be faulted in again by every trial.  The
+    arrays a call returns are views into the buffers, valid until the next call.
     """
 
     def __init__(self) -> None:
@@ -220,7 +219,8 @@ class _PairTable:
         self.mask = np.empty(pairs, dtype=bool)
 
     def pairs(self, points: np.ndarray, model: ConnectionModel, cutoff: float):
-        """`_pairs(points, model, cutoff)`, bit for bit."""
+        """The pairs i < j at most `cutoff` apart, as `pdist` indices, with their H
+        (a NaN distance is kept, so H rejects it instead of the pair vanishing)."""
         n = len(points)
         size = n * (n - 1) // 2
         if size > self.dists.size:
@@ -305,7 +305,7 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
     sum cancels to rounding error when the nodes cannot connect, so the
     result is clipped to [0, 1].
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _points(points)
     n = len(pts)
     if n == 0:
         raise DomainError("point set must be non-empty")
@@ -315,10 +315,7 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
         )
     if n == 1:
         return 1.0
-    near, h = _pairs(pts, model)
-    ii, jj = _pair_nodes(n, near)
-    q = np.ones((n, n))
-    q[ii, jj] = q[jj, ii] = 1.0 - h
+    q = 1.0 - squareform(pair_connectedness_many(model, pdist(pts)))
 
     # miss[i][mask] = prod over j in mask of (1 - H_ij), one bit at a time:
     # the masks with top bit b are those below 1 << b times 1 - H_ib.
@@ -357,15 +354,15 @@ def edge_resampling_estimate(
     points, model: ConnectionModel, resamples: int, seed: int
 ) -> McEstimate:
     """Connectivity frequency over edge redraws at fixed node positions."""
-    pts = np.asarray(points, dtype=float)
+    pts = _points(points)
     n = len(pts)
     if n < 2:
         raise DomainError(f"edge resampling needs at least 2 nodes, got {n}")
     if resamples < 1:
         raise DomainError(f"resamples must be >= 1, got {resamples}")
     rng = np.random.default_rng(check_seed(seed))
-    near, h = _pairs(pts, model)
-    ii, jj = _pair_nodes(n, near)
+    h = pair_connectedness_many(model, pdist(pts))
+    ii, jj = np.triu_indices(n, 1)  # pdist's pair order
 
     connected = 0
     isolated_total = 0
@@ -397,13 +394,13 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
     """Probability that a node at each grid point would link to any node.
 
     field(x) = 1 - prod over nodes i of (1 - H(|x - r_i|)); zero when the
-    node set is empty or entirely out of range.
+    node set is empty or entirely out of range.  Points and grid points are
+    rows of coordinates or, on a line, bare scalars.
     """
-    grid = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    pts = np.asarray(points, dtype=float)
+    grid = _points(grid_points)
+    pts = _points(points)
     if pts.size == 0:
         return np.zeros(len(grid))
-    pts = np.atleast_2d(pts)
     if pts.shape[1] != grid.shape[1]:
         raise DomainError(
             f"points are {pts.shape[1]}-dimensional but grid is {grid.shape[1]}-dimensional"

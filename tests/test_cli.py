@@ -416,14 +416,18 @@ def test_field_node_count_is_capped():
 
 
 def test_simulate_node_count_is_capped():
-    # About 51 000 nodes: a 10 GB pair table per trial
-    proc, seconds = run_cli_capped(
-        ["simulate", "--prism", "house", "--L", "7", "--rho", "120", "--trials", "1",
-         "--seed", "1"]
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "pair table" in proc.stderr and "Traceback" not in proc.stderr
-    assert seconds < 30.0
+    for rho in (
+        "120",  # about 51 000 nodes: a 10 GB pair table per trial
+        "1e300",  # a pair table too large to convert to a double
+        "1e308",  # a node count that overflows to inf
+    ):
+        proc, seconds = run_cli_capped(
+            ["simulate", "--prism", "house", "--L", "7", "--rho", rho, "--trials", "1",
+             "--seed", "1"]
+        )
+        assert proc.returncode == 2, (rho, proc.stderr)
+        assert "pair table" in proc.stderr and "Traceback" not in proc.stderr
+        assert seconds < 30.0
 
 
 def test_field_prism_replays_from_manifest(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from prismconn import linkmodels, mc_sim
 from prismconn.errors import DomainError
@@ -29,7 +29,6 @@ from prismconn.mc_sim import (
     McConfig,
     UnionFind,
     _pair_nodes,
-    _pairs,
     _trial_rng,
     connection_field,
     connectivity_check,
@@ -118,6 +117,11 @@ def test_config_validation():
         McConfig(cube_prism(1.0), Siso(P3), node_count=5001, trials=1, seed=1)
     with pytest.raises(DomainError, match="pair table"):
         McConfig.from_density(house_prism(7.0), Siso(P3), rho=120.0, trials=1, seed=1)
+    # A pair table past a double's range, and a node count that overflows to
+    # inf, are refused by the same message.
+    for rho in (1e300, 1e308):
+        with pytest.raises(DomainError, match="pair table"):
+            McConfig.from_density(house_prism(7.0), Siso(P3), rho=rho, trials=1, seed=1)
     assert config.cutoff == support_radius(Siso(P3))
 
 
@@ -395,13 +399,15 @@ def test_oracles_reject_non_finite_points():
 
 
 def reference_exact(points, model):
-    """The subset recursion one mask at a time, walking submasks downwards."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    near, h = _pairs(pts, model)
-    ii, jj = _pair_nodes(n, near)
-    q = np.ones((n, n))
-    q[ii, jj] = q[jj, ii] = 1.0 - h
+    """The subset recursion one mask at a time, walking submasks downwards,
+    on scalar H of each `pdist` distance."""
+    dists = pdist(np.asarray(points, dtype=float))
+    return reference_recursion(1.0 - squareform([pair_connectedness(model, r) for r in dists]))
+
+
+def reference_recursion(q):
+    """`reference_exact` on q[i, j] = 1 - H_ij, with q[i, i] = 1."""
+    n = len(q)
     miss = [[1.0] * (1 << n) for _ in range(n)]  # miss[i][mask]: prod of q[i, j], j in mask
     for i in range(n):
         for mask in range(1, 1 << n):
@@ -456,6 +462,50 @@ def test_exact_matches_loop_reference():
             p = exact_connectivity_probability(pts, model)
             ref = reference_exact(pts, model)
             assert p == min(1.0, max(0.0, ref)), (n, model)
+
+
+def cutoff_route(points, model):
+    """The oracles' pairs as the trials take theirs: `pdist`, a cutoff mask
+    (infinite, so every pair), `H` of the pairs kept and `_pair_nodes`."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    dists = pdist(pts.reshape(n, -1))
+    near = np.flatnonzero(~(dists > math.inf))
+    ii, jj = _pair_nodes(n, near)
+    return ii, jj, pair_connectedness_many(model, dists[near])
+
+
+def reference_resampling(n, ii, jj, h, resamples, seed):
+    """(connected, isolated) totals over redraws one at a time, each by BFS."""
+    rng = np.random.default_rng(seed)
+    connected = isolated = 0
+    for _ in range(resamples):
+        linked = rng.random(h.size) < h
+        connected += bfs_component_count(n, zip(ii[linked], jj[linked])) == 1
+        isolated += n - len(set(ii[linked].tolist()) | set(jj[linked].tolist()))
+    return connected, isolated
+
+
+@pytest.mark.parametrize(
+    "model", [ORACLE_MODELS[0], ORACLE_MODELS[1], ORACLE_MODELS[3]],
+    ids=["mimo", "siso", "unitdisk"],
+)
+def test_oracles_match_the_cutoff_route(model):
+    # Each oracle takes every pair straight from pdist: the same H, in the
+    # same (i, j) order, as the cutoff route, so the same bits out.
+    rng = np.random.default_rng(31)
+    for n in range(2, 13):
+        for pts in (rng.random(n) * 4.0, sample_uniform_rng(house_prism(3.0), n, rng)):
+            ii, jj, h = cutoff_route(pts, model)
+            q = np.ones((n, n))
+            q[ii, jj] = q[jj, ii] = 1.0 - h
+            expected = min(1.0, max(0.0, reference_recursion(q)))
+            assert exact_connectivity_probability(pts, model) == expected, (n, pts.ndim)
+            estimate = edge_resampling_estimate(pts, model, 200, seed=n)
+            connected, isolated = reference_resampling(n, ii, jj, h, 200, n)
+            assert (estimate.p_fc_hat, estimate.mean_isolated) == (
+                connected / 200, isolated / 200
+            ), (n, pts.ndim)
 
 
 def test_brute_force_matches_loop_reference():
@@ -702,6 +752,25 @@ def test_connection_field_matches_reference(model, nodes, grid_count):
 def test_connection_field_dimension_mismatch():
     with pytest.raises(DomainError):
         connection_field(np.zeros((3, 2)), Siso(P3), np.zeros((4, 3)))
+
+
+def test_point_sets_are_read_one_way():
+    # Bare scalars are points on a line for the field as for the oracles,
+    # not the coordinates of one point.
+    model = Siso(PathLossParams(1.0, 2.0, 1))
+    column = connection_field([[0.0], [1.3]], model, [[0.5], [1.0]])
+    assert column == pytest.approx([0.895, 0.946], abs=5e-4)
+    assert connection_field([0.0, 1.3], model, [0.5, 1.0]).tobytes() == column.tobytes()
+    assert np.array_equal(connection_field([], model, [0.5, 1.0]), np.zeros(2))
+    cube = np.zeros((2, 1, 3))
+    with pytest.raises(DomainError, match="3-D"):
+        connection_field(cube, model, [[0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="3-D"):
+        connection_field([[0.0, 0.0, 0.0]], model, cube)
+    with pytest.raises(DomainError, match="3-D"):
+        exact_connectivity_probability(cube, model)
+    with pytest.raises(DomainError, match="3-D"):
+        edge_resampling_estimate(cube, model, 10, 1)
 
 
 def test_first_order_outage_consistency():
