@@ -225,7 +225,9 @@ def support_radius(model: ConnectionModel) -> float:
 
     Found by doubling then bisection on the scalar H, so it holds for any
     model whose H is non-increasing in r.  A model whose H stays above the
-    floor at every finite double raises ConvergenceError.
+    floor at every finite double raises ConvergenceError; one whose H reads
+    beta * r^eta (all but the unit disk) raises DomainError where r^eta
+    overflows first, since H past that point reads 0 whatever its true value.
     """
     hi = 1.0
     while pair_connectedness(model, hi) >= _LINK_PROB_FLOOR:
@@ -239,6 +241,8 @@ def support_radius(model: ConnectionModel) -> float:
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
+    if not isinstance(model, UnitDisk) and not math.isfinite(model.params.x(hi)):
+        raise DomainError(f"beta * r^eta overflows before H of {model} falls below the floor")
     return hi
 
 

@@ -2,7 +2,9 @@
 
 Trials draw a fixed number of uniform node positions in a prism, realize
 each link independently with probability H(distance), and test whether the
-resulting graph is one component.  Per-trial random streams are derived
+resulting graph is one component.  A trial evaluates H only where a
+tabulated ceiling on H leaves its link undecided, and runs union-find only
+on the roots of a forest of links.  Per-trial random streams are derived
 from (seed, trial index) through a splittable generator, so results do not
 depend on how trials are scheduled across workers.  A subset-recursion
 oracle, tabulated over bitmasks one subset size at a time, gives the exact
@@ -22,7 +24,13 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DomainError
 from .geometry import RightPrism, check_seed, sample_uniform_rng
-from .linkmodels import H_BLOCK, ConnectionModel, pair_connectedness_many, support_radius
+from .linkmodels import (
+    H_BLOCK,
+    ConnectionModel,
+    _check_distance,
+    pair_connectedness_many,
+    support_radius,
+)
 
 __all__ = [
     "McConfig",
@@ -41,13 +49,20 @@ _EXACT_MAX_NODES = 12
 # Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
 # uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
 _RESAMPLE_CHUNK_BYTES = 10_000_000
-# Bytes a trial's condensed pair-distance table may take at 8 per pair: at
-# most 5000 nodes.  A trial really takes about ten times that (a `_PairTable`
-# of four doubles and a bool per pair, the indices of the pairs in range and
-# of the links, the links' (i, j), H's temporaries): one trial of 5000 nodes,
-# every pair in range (cube of side 2, MIMO 2x2, beta = 1, eta = 2), peaked
-# at 1.08 GB RSS, 1.01 GB above import, or about 81 bytes per pair.
+# Bytes a trial's per-pair arrays may take, and what they take per pair at
+# worst: with every pair in range (cube of side 2, MIMO 2x2, beta = 1,
+# eta = 2; 76% of pairs link), one trial of 1500 or 2500 nodes peaked 70 or
+# 65 bytes per pair above its configuration (`ru_maxrss`): the `_PairTable`
+# buffers (33), the pairs in range (8), then H of the undecided pairs, or
+# the links' (i, j) and their labels in `_root_graph`.
 _PAIR_TABLE_BYTES = 100_000_000
+_BYTES_PER_PAIR = 70
+# The most nodes whose pairs fit: n (n - 1) / 2 pairs at most budget / bytes.
+_MAX_NODES = (1 + math.isqrt(1 + 8 * (_PAIR_TABLE_BYTES // _BYTES_PER_PAIR))) // 2
+# H's ceiling over [0, cutoff] is tabulated in this many equal distance bins,
+# each raised by the slack (see `_HCeiling`).
+_H_BINS = 4096
+_H_SLACK = 1e-9
 
 Z_95 = 1.959963984540054
 Z_99 = 2.5758293035489004
@@ -84,9 +99,11 @@ class UnionFind:
 def connectivity_check(n: int, edges) -> tuple[bool, int]:
     """Whether the graph on n nodes with the given edges is one component.
 
-    Returns (connected, component count).  `edges` is an (m, 2) integer
-    array or any iterable of pairs; every edge is bounds-checked before the
-    first union, and unions stop once one component remains.
+    Returns (connected, component count); the count is exact whenever it is
+    above one.  `edges` is an (m, 2) integer array or any iterable of pairs;
+    every edge is bounds-checked before the first union, and unions stop
+    once one component remains.  A trial calls it once, on the graph of its
+    forest roots (`_root_graph`).
     """
     if n < 0:
         raise IndexError(f"node count must be non-negative, got {n}")
@@ -124,12 +141,46 @@ def wilson_interval(
     return low, high
 
 
+class _HCeiling:
+    """An upper bound on H over [0, cutoff], tabulated in `_H_BINS` equal bins.
+
+    Bin k spans knots k and k + 1, knot k lying at k * cutoff / `_H_BINS`.
+    Its ceiling is the larger H of the two, which bounds a non-increasing H
+    on the bin, plus `_H_SLACK`: H's rounding can rise by an ulp, and a
+    distance within a few ulps of a knot can round into the bin on its other
+    side.  A jump
+    in H at a knot below the cutoff would defeat the slack; the models' one
+    jump, the unit disk's, lies at the cutoff or an ulp below it.
+    """
+
+    def __init__(self, model: ConnectionModel, cutoff: float):
+        knots = np.arange(_H_BINS + 1) * (cutoff / _H_BINS)
+        h = model.h(knots)
+        self.table = np.maximum(h[:-1], h[1:]) + _H_SLACK
+        # at most the largest double, so r * scale stays finite for any
+        # r <= cutoff; a smaller scale only moves r to a lower bin, whose
+        # ceiling is no lower
+        self.scale = min(_H_BINS / cutoff, sys.float_info.max)
+
+    def __call__(self, r: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The ceiling of each distance's bin, in `out`; `bins` gets the bins.
+
+        `r` must hold checked distances of at most the cutoff; `bins` is an
+        intp array and `out` a float array of r's size.
+        """
+        np.multiply(r, self.scale, out=out)
+        np.copyto(bins, out, casting="unsafe")  # truncates: r >= 0
+        # mode="clip" maps r = cutoff to the last bin and writes straight into out
+        return np.take(self.table, bins, mode="clip", out=out)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """A full-connectivity experiment: prism, link model, N, trials, seed.
 
-    `cutoff` is derived: the model's support radius, beyond which no pair
-    is evaluated.
+    `cutoff` and `ceiling` are derived: the model's support radius, beyond
+    which no pair is evaluated, and the ceiling on H below it that decides
+    most links without H.
     """
 
     prism: RightPrism
@@ -139,20 +190,26 @@ class McConfig:
     seed: int
     poisson: bool = False
     cutoff: float = field(init=False, compare=False, repr=False)
+    ceiling: _HCeiling = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise DomainError(f"node_count must be >= 1, got {self.node_count}")
-        table = 8 * (self.node_count * (self.node_count - 1) // 2)
-        if table > _PAIR_TABLE_BYTES:
+        if self.node_count > _MAX_NODES:
+            # the count itself only while it is short: it can have any size
+            count = self.node_count
+            shown = f"{count}" if count < 10**9 else f"about 10^{math.log10(count):.0f}"
             raise DomainError(
-                f"node_count {self.node_count} needs a {round(table, -6) // 10**6} MB "
-                f"pair table per trial, more than {_PAIR_TABLE_BYTES // 10**6} MB"
+                f"node_count {shown} is more than {_MAX_NODES}, the most whose pair "
+                f"table fits in {_PAIR_TABLE_BYTES // 10**6} MB per trial "
+                f"at {_BYTES_PER_PAIR} bytes per pair"
             )
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
-        object.__setattr__(self, "cutoff", support_radius(self.model))
+        cutoff = support_radius(self.model)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "ceiling", _HCeiling(self.model, cutoff))
 
     @classmethod
     def from_density(
@@ -203,39 +260,75 @@ def _pair_nodes(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PairTable:
-    """A trial's pairs in range, their H and its link draw, in reused buffers.
+    """A trial's link draw over its pairs in range, in reused buffers.
 
     The buffers grow to the largest pair count seen, so the trials of one run
     fault their pages in once: arrays this large are handed back to the OS
-    when freed, and fresh ones would be faulted in again by every trial.  The
-    arrays a call returns are views into the buffers, valid until the next call.
+    when freed, and fresh ones would be faulted in again by every trial.
     """
 
     def __init__(self) -> None:
         self._grow(0)
 
     def _grow(self, pairs: int) -> None:
-        self.dists, self.r, self.h, self.u = (np.empty(pairs) for _ in range(4))
+        self.dists, self.r, self.u = (np.empty(pairs) for _ in range(3))
+        self.bins = np.empty(pairs, dtype=np.intp)
         self.mask = np.empty(pairs, dtype=bool)
 
-    def pairs(self, points: np.ndarray, model: ConnectionModel, cutoff: float):
-        """The pairs i < j at most `cutoff` apart, as `pdist` indices, with their H
-        (a NaN distance is kept, so H rejects it instead of the pair vanishing)."""
+    def links(self, points: np.ndarray, config: McConfig, rng: np.random.Generator):
+        """The `pdist` indices of the pairs i < j that link, in ascending order.
+
+        Each pair at most `config.cutoff` apart links with probability H of its
+        distance, by one uniform each, drawn in pair order.  A uniform at or
+        above its bin's ceiling decides the pair unlinked; H is evaluated, in
+        one call, only on the pairs below it.  Every distance in range is
+        checked first (a NaN one is kept in range, so it is refused instead of
+        the pair vanishing).
+        """
         n = len(points)
         size = n * (n - 1) // 2
         if size > self.dists.size:
             self._grow(size)
         dists = pdist(points, out=self.dists[:size])
-        far = np.greater(dists, cutoff, out=self.mask[:size])
+        far = np.greater(dists, config.cutoff, out=self.mask[:size])
         near = np.flatnonzero(np.logical_not(far, out=far))
         # mode="clip" writes straight into out; "raise" would buffer it
         r = np.take(dists, near, out=self.r[: near.size], mode="clip")
-        return near, pair_connectedness_many(model, r, out=self.h[: near.size])
+        _check_distance(r)
+        u = rng.random(out=self.u[: near.size])
+        # the distances are taken, so their buffer holds the ceilings
+        ceiling = config.ceiling(r, self.bins[: near.size], out=self.dists[: near.size])
+        undecided = np.flatnonzero(np.less(u, ceiling, out=self.mask[: near.size]))
+        h = pair_connectedness_many(config.model, r[undecided])
+        return near[undecided[u[undecided] < h]]
 
-    def links(self, near: np.ndarray, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The pairs of `near` that link, each with probability h, by one uniform each."""
-        u = rng.random(out=self.u[: h.size])
-        return near[np.less(u, h, out=self.mask[: h.size])]
+
+def _root_graph(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """The graph on n nodes with links (src < dst), its trees contracted.
+
+    Each node points at its lowest neighbour below it, or at itself; the
+    pointers form a forest of links, and each tree becomes its root.  Returns
+    the root count and the distinct links between different roots, renumbered
+    0..count - 1: a graph with as many components as the original.
+    """
+    low = np.arange(n)
+    np.minimum.at(low, dst, src)
+    while True:  # pointer jumping: each pass doubles the hops a pointer skips
+        up = low[low]
+        if np.array_equal(up, low):
+            break
+        low = up
+    is_root = low == np.arange(n)
+    count = int(np.count_nonzero(is_root))
+    label = (np.cumsum(is_root) - 1)[low]
+    a, b = label[src], label[dst]
+    cross = a != b
+    codes = np.sort(np.minimum(a, b)[cross] * count + np.maximum(a, b)[cross])
+    # sorted, then each first of a run: np.unique is several times slower here
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    return count, np.column_stack((codes // count, codes % count))
 
 
 def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
@@ -249,6 +342,13 @@ def run_trial(config: McConfig, index: int) -> tuple[bool, int]:
 
 
 def _trial(config: McConfig, index: int, table: _PairTable) -> tuple[bool, int]:
+    """`run_trial` on the given pair table.
+
+    The node count, the positions and each pair's uniform come from the
+    trial's stream in that order.  Isolated nodes are counted from the
+    links first; only a trial without one runs union-find, on the graph of
+    its forest roots.
+    """
     rng = _trial_rng(config.seed, index)
     n = int(rng.poisson(config.node_count)) if config.poisson else config.node_count
     if n == 0:
@@ -256,23 +356,13 @@ def _trial(config: McConfig, index: int, table: _PairTable) -> tuple[bool, int]:
     points = sample_uniform_rng(config.prism, n, rng)
     if n == 1:
         return True, 1
-    near, h = table.pairs(points, config.model, config.cutoff)
-    src, dst = _pair_nodes(n, table.links(near, h, rng))
+    src, dst = _pair_nodes(n, table.links(points, config, rng))
 
     degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     isolated = n - int(np.count_nonzero(degree))
     if isolated:
         return False, isolated
-    # Each node's link to its lowest lower and to its highest higher neighbour
-    # nearly always join a connected graph already, at about a quarter of the
-    # unions; all links decide when they do not.
-    edges = np.column_stack((src, dst))
-    lowest = np.unique(dst, return_index=True)[1]  # first of each dst
-    highest = np.flatnonzero(np.append(src[1:] != src[:-1], True))  # src is sorted
-    connected, _ = connectivity_check(n, edges[np.concatenate((lowest, highest))])
-    if not connected:
-        connected, _ = connectivity_check(n, edges)
-    return connected, isolated
+    return connectivity_check(*_root_graph(n, src, dst))[0], 0
 
 
 def run_trials(config: McConfig) -> McEstimate:

@@ -427,6 +427,9 @@ def test_simulate_node_count_is_capped():
         )
         assert proc.returncode == 2, (rho, proc.stderr)
         assert "pair table" in proc.stderr and "Traceback" not in proc.stderr
+        # one short line, not the count's hundreds of digits
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith("usage error") and len(error) < 160, proc.stderr
         assert seconds < 30.0
 
 

@@ -309,3 +309,18 @@ def test_support_radius_is_bracketed_however_far():
 def test_support_radius_past_the_doubles_is_a_convergence_error():
     with pytest.raises(ConvergenceError, match="UnitDisk"):
         support_radius(UnitDisk(1e308, P3))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Siso(PathLossParams(1e-308, 2.0, 3)), SimoMiso(1, PathLossParams(1e-308, 2.0, 3)),
+     SimoMiso(3, PathLossParams(1e-308, 2.0, 3)), Mimo(2, 2, PathLossParams(1e-308, 2.0, 3))],
+    ids=["siso", "simo1", "simo3", "mimo"],
+)
+def test_support_radius_where_r_to_the_eta_overflows_is_a_domain_error(model):
+    # H reads 0 once r^eta overflows, so a radius found there (1.34e154 for
+    # SISO) is not where the true H, exp(-1.8) at 1.34e154, meets the floor
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
+        support_radius(model)
+    # a unit disk never reads beta * r^eta
+    assert support_radius(UnitDisk(1e200, P3)) == np.nextafter(1e200, math.inf)

@@ -23,12 +23,18 @@ from prismconn.linkmodels import (
     support_radius,
 )
 from prismconn.mc_sim import (
+    _BYTES_PER_PAIR,
+    _H_BINS,
+    _H_SLACK,
+    _MAX_NODES,
     _PAIR_TABLE_BYTES,
     Z_95,
     Z_99,
     McConfig,
     UnionFind,
+    _HCeiling,
     _pair_nodes,
+    _root_graph,
     _trial_rng,
     connection_field,
     connectivity_check,
@@ -110,11 +116,20 @@ def test_config_validation():
         McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=10, seed=-2)
     config = McConfig.from_density(cube_prism(2.0), Siso(P3), rho=1.5, trials=10, seed=1)
     assert config.node_count == 12
-    # The condensed pair table of 5000 nodes fits the budget, of 5001 it does not.
-    assert 8 * (5000 * 4999 // 2) <= _PAIR_TABLE_BYTES < 8 * (5001 * 5000 // 2)
-    assert McConfig(cube_prism(1.0), Siso(P3), node_count=5000, trials=1, seed=1)
-    with pytest.raises(DomainError, match="pair table"):
-        McConfig(cube_prism(1.0), Siso(P3), node_count=5001, trials=1, seed=1)
+    # The pairs of 1690 nodes fit the budget at the measured bytes per pair,
+    # of 1691 they do not.
+    assert _MAX_NODES == 1690 and _BYTES_PER_PAIR == 70
+    assert _BYTES_PER_PAIR * (1690 * 1689 // 2) <= _PAIR_TABLE_BYTES
+    assert _BYTES_PER_PAIR * (1691 * 1690 // 2) > _PAIR_TABLE_BYTES
+    assert McConfig(cube_prism(1.0), Siso(P3), node_count=1690, trials=1, seed=1)
+    with pytest.raises(DomainError, match="node_count 1691 is more than 1690") as info:
+        McConfig(cube_prism(1.0), Siso(P3), node_count=1691, trials=1, seed=1)
+    assert "pair table fits in 100 MB per trial at 70 bytes per pair" in str(info.value)
+    # past Python's int-to-str limit too, and in one short line at any size
+    for count in (10**12, 10**2200, 10**5000):
+        with pytest.raises(DomainError, match="pair table") as info:
+            McConfig(cube_prism(1.0), Siso(P3), node_count=count, trials=1, seed=1)
+        assert len(str(info.value)) < 120 and "\n" not in str(info.value)
     with pytest.raises(DomainError, match="pair table"):
         McConfig.from_density(house_prism(7.0), Siso(P3), rho=120.0, trials=1, seed=1)
     # A pair table past a double's range, and a node count that overflows to
@@ -304,6 +319,129 @@ def test_run_trials_reuses_one_pair_table(monkeypatch):
         assert len({id(b) for b in bases}) == records
         if not poisson:
             assert records == 1 and all(b is bases[0] for b in bases)
+
+
+CEILING_MODELS = [
+    Mimo(2, 2, P3),
+    Mimo(2, 512, P3),
+    Mimo(64, 2, PathLossParams(1.0, 4.0, 3)),
+    Siso(P3),
+    SimoMiso(3, P3),
+    SimoMiso(57, PathLossParams(0.05, 2.0, 3)),  # rises by an ulp near the floor
+    UnitDisk(1.2, P3),  # jumps an ulp below the cutoff
+    UnitDisk(1.2, PathLossParams(40.0, 2.0, 3)),  # jumps at the cutoff, the last knot
+]
+
+
+@pytest.mark.parametrize(
+    "model", CEILING_MODELS,
+    ids=["mimo2", "mimo512", "mimo64-eta4", "siso", "simo3", "simo57", "disk", "disk-knot"],
+)
+def test_h_ceiling_bounds_h_in_every_bin(model):
+    cutoff = support_radius(model)
+    ceiling = _HCeiling(model, cutoff)
+    knots = np.arange(_H_BINS + 1) * (cutoff / _H_BINS)
+    assert knots[-1] == cutoff
+    if isinstance(model, UnitDisk):
+        assert model.radius in (cutoff, np.nextafter(cutoff, 0.0))
+    rng = np.random.default_rng(17)
+    r = np.concatenate((
+        rng.random(10**6) * cutoff,
+        knots,
+        np.nextafter(knots, 0.0),
+        np.nextafter(knots, math.inf),
+    ))
+    r = r[(r >= 0.0) & (r <= cutoff)]
+    top = ceiling(r, np.empty(r.size, dtype=np.intp), out=np.empty(r.size))
+    h = model.h(r)
+    assert (h <= top).all()
+    # H's own excess over the knots is rounding, far inside the slack
+    assert (h - (top - _H_SLACK)).max() < 1e-12
+
+
+class _RisingH:
+    """Not a link model: H rising in r, which the two-knot maximum still bounds."""
+
+    def h(self, r):
+        return np.minimum(1.0, np.asarray(r) / 6.0)
+
+
+def test_h_ceiling_takes_the_larger_knot_of_each_bin():
+    ceiling = _HCeiling(_RisingH(), 6.0)
+    r = np.nextafter(np.arange(1, _H_BINS + 1) * (6.0 / _H_BINS), 0.0)  # just below knot k + 1
+    top = ceiling(r, np.empty(r.size, dtype=np.intp), out=np.empty(r.size))
+    assert (_RisingH().h(r) <= top).all()
+
+
+def test_root_graph_matches_bfs_on_split_graphs_without_isolated_nodes():
+    rng = np.random.default_rng(23)
+    splits = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 120))
+        group = rng.integers(0, rng.integers(1, 6), n)  # a few node groups, interleaved
+        ii, jj = np.triu_indices(n, k=1)
+        same = group[ii] == group[jj]
+        keep = same & (rng.random(ii.size) < rng.uniform(0.0, 4.0) / n)
+        # every node gets a neighbour in its group, if it has one
+        for v in range(n):
+            mates = np.flatnonzero(group == group[v])
+            if mates.size > 1:
+                w = int(rng.choice(mates[mates != v]))
+                keep[(ii == min(v, w)) & (jj == max(v, w))] = True
+        src, dst = ii[keep], jj[keep]
+        edges = list(zip(src.tolist(), dst.tolist()))
+        degree = np.bincount(np.concatenate((src, dst)), minlength=n)
+        if not degree.all():
+            continue  # a lone node in its group: the trial never gets here
+        count, root_edges = _root_graph(n, src, dst)
+        # the roots are the nodes with no neighbour below them
+        assert count == n - np.unique(dst).size and root_edges.shape[1] == 2
+        assert len({tuple(e) for e in root_edges.tolist()}) == len(root_edges)
+        assert (root_edges[:, 0] < root_edges[:, 1]).all()
+        components = bfs_component_count(n, edges)
+        assert connectivity_check(count, root_edges) == (components == 1, components)
+        splits += components > 1
+    assert splits > 50
+
+
+def test_nan_distance_in_range_is_refused_before_binning(monkeypatch):
+    config = McConfig(cube_prism(2.0), Mimo(2, 2, P3), node_count=6, trials=1, seed=2)
+
+    def sample_with_nan(prism, n, rng):
+        points = sample_uniform_rng(prism, n, rng)
+        points[3, 1] = np.nan
+        return points
+
+    def no_binning(*args):
+        raise AssertionError("a NaN distance reached the ceiling")
+
+    monkeypatch.setattr(mc_sim, "sample_uniform_rng", sample_with_nan)
+    monkeypatch.setattr(_HCeiling, "__call__", no_binning)
+    with np.errstate(invalid="raise"), pytest.raises(DomainError, match="distances"):
+        run_trial(config, 0)
+
+
+def test_trial_evaluates_h_on_few_of_its_pairs_in_range(monkeypatch):
+    # the benchmark's densest house: about 46k pairs in range per trial, of
+    # which about 7.5% are undecided by the ceiling
+    in_range, evaluated = [], []
+    original_check, original_many = mc_sim._check_distance, mc_sim.pair_connectedness_many
+
+    def spy_check(r):
+        in_range.append(np.size(r))
+        return original_check(r)
+
+    def spy_many(model, r, *args, **kwargs):
+        evaluated.append(np.size(r))
+        return original_many(model, r, *args, **kwargs)
+
+    config = McConfig.from_density(house_prism(7.0), Mimo(2, 2, P3), 0.87, 10, 11)
+    monkeypatch.setattr(mc_sim, "_check_distance", spy_check)
+    monkeypatch.setattr(mc_sim, "pair_connectedness_many", spy_many)
+    run_trials(config)
+    assert len(in_range) == len(evaluated) == 10
+    assert sum(in_range) > 10 * 40_000
+    assert sum(evaluated) <= 0.1 * sum(in_range)
 
 
 def test_union_find_against_bfs():
