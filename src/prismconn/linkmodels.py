@@ -194,26 +194,20 @@ def pair_connectedness(model: ConnectionModel, r: float) -> float:
     return float(model.h(float(r)))
 
 
-def pair_connectedness_many(
-    model: ConnectionModel, r: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vectorized H over an array of distances, written into `out` if given.
+def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray:
+    """Vectorized H over an array of distances.
 
     Fast path for the Monte Carlo engine and field sampling.  H runs on
     blocks of at most `H_BLOCK` distances, so its temporaries stay small;
     it is elementwise, so every value agrees with one call on the whole
-    array and with the scalar evaluation bit for bit.  `out` must be a
-    C-contiguous array of r's shape; without it, one block is returned as
-    H made it, uncopied.
+    array and with the scalar evaluation bit for bit.  One block is
+    returned as H made it, uncopied.
     """
     r = np.asarray(r, dtype=float)
     _check_distance(r)
-    if out is None:
-        if r.size <= H_BLOCK:
-            return model.h(r)
-        out = np.empty(r.shape)
-    elif out.shape != r.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be C-contiguous of shape {r.shape}, got {out.shape}")
+    if r.size <= H_BLOCK:
+        return model.h(r)
+    out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
     for start in range(0, flat_r.size, H_BLOCK):
         flat_out[start : start + H_BLOCK] = model.h(flat_r[start : start + H_BLOCK])

@@ -50,13 +50,14 @@ _EXACT_MAX_NODES = 12
 # uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
 _RESAMPLE_CHUNK_BYTES = 10_000_000
 # Bytes a trial's per-pair arrays may take, and what they take per pair at
-# worst: with every pair in range (cube of side 2, MIMO 2x2, beta = 1,
-# eta = 2; 76% of pairs link), one trial of 1500 or 2500 nodes peaked 70 or
-# 65 bytes per pair above its configuration (`ru_maxrss`): the `_PairTable`
-# buffers (33), the pairs in range (8), then H of the undecided pairs, or
-# the links' (i, j) and their labels in `_root_graph`.
+# worst: with every pair in range and undecided, and every one linked (cube
+# of side 2, MIMO 2x2 at beta = 0.01, or a unit disk of radius 4), one trial
+# of 1500 or 2500 nodes peaked 74 or 73 bytes per pair above its
+# configuration (`ru_maxrss`): the `_PairTable` buffers (33), the pairs in
+# range and the undecided ones (8 each), H of those (8), then the linked
+# ones and their `pdist` indices (8 each).
 _PAIR_TABLE_BYTES = 100_000_000
-_BYTES_PER_PAIR = 70
+_BYTES_PER_PAIR = 74
 # The most nodes whose pairs fit: n (n - 1) / 2 pairs at most budget / bytes.
 _MAX_NODES = (1 + math.isqrt(1 + 8 * (_PAIR_TABLE_BYTES // _BYTES_PER_PAIR))) // 2
 # H's ceiling over [0, cutoff] is tabulated in this many equal distance bins,
@@ -323,8 +324,12 @@ def _root_graph(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarr
     label = (np.cumsum(is_root) - 1)[low]
     a, b = label[src], label[dst]
     cross = a != b
-    codes = np.sort(np.minimum(a, b)[cross] * count + np.maximum(a, b)[cross])
-    # sorted, then each first of a run: np.unique is several times slower here
+    a, b = a[cross], b[cross]
+    # Each link between roots once: most repeat a pair of trees, and on the
+    # mc_house shapes union-find over every cross link ran 485 trials/s
+    # against 622.  Sorted, then each first of a run: np.unique is several
+    # times slower here.
+    codes = np.sort(np.minimum(a, b) * count + np.maximum(a, b))
     first = np.ones(codes.size, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     codes = codes[first]

@@ -116,15 +116,15 @@ def test_config_validation():
         McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=10, seed=-2)
     config = McConfig.from_density(cube_prism(2.0), Siso(P3), rho=1.5, trials=10, seed=1)
     assert config.node_count == 12
-    # The pairs of 1690 nodes fit the budget at the measured bytes per pair,
-    # of 1691 they do not.
-    assert _MAX_NODES == 1690 and _BYTES_PER_PAIR == 70
-    assert _BYTES_PER_PAIR * (1690 * 1689 // 2) <= _PAIR_TABLE_BYTES
-    assert _BYTES_PER_PAIR * (1691 * 1690 // 2) > _PAIR_TABLE_BYTES
-    assert McConfig(cube_prism(1.0), Siso(P3), node_count=1690, trials=1, seed=1)
-    with pytest.raises(DomainError, match="node_count 1691 is more than 1690") as info:
-        McConfig(cube_prism(1.0), Siso(P3), node_count=1691, trials=1, seed=1)
-    assert "pair table fits in 100 MB per trial at 70 bytes per pair" in str(info.value)
+    # The pairs of 1644 nodes fit the budget at the measured bytes per pair,
+    # of 1645 they do not.
+    assert _MAX_NODES == 1644 and _BYTES_PER_PAIR == 74
+    assert _BYTES_PER_PAIR * (1644 * 1643 // 2) <= _PAIR_TABLE_BYTES
+    assert _BYTES_PER_PAIR * (1645 * 1644 // 2) > _PAIR_TABLE_BYTES
+    assert McConfig(cube_prism(1.0), Siso(P3), node_count=1644, trials=1, seed=1)
+    with pytest.raises(DomainError, match="node_count 1645 is more than 1644") as info:
+        McConfig(cube_prism(1.0), Siso(P3), node_count=1645, trials=1, seed=1)
+    assert "pair table fits in 100 MB per trial at 74 bytes per pair" in str(info.value)
     # past Python's int-to-str limit too, and in one short line at any size
     for count in (10**12, 10**2200, 10**5000):
         with pytest.raises(DomainError, match="pair table") as info:
@@ -262,22 +262,16 @@ def test_buffered_trials_match_at_the_benchmark_size():
     ids=["mimo", "siso", "simo1", "unitdisk"],
 )
 def test_pair_connectedness_many_bits_with_and_without_out(monkeypatch, model, block):
+    """Blocked H is bitwise one H call on the whole array, at any block size."""
     monkeypatch.setattr(linkmodels, "H_BLOCK", block)
     rng = np.random.default_rng(block)
     count = 40 if block == 1 else 3 * H_BLOCK + 5
     flat = rng.random(count) * 6.0
     flat[:3] = (0.0, 1.2, np.nextafter(1.2, 0.0))
     for r in (flat, flat[: count - count % 5].reshape(5, -1)):
-        whole = model.h(r)
-        fresh = pair_connectedness_many(model, r)
-        out = np.full(r.shape, np.nan)
-        assert pair_connectedness_many(model, r, out=out) is out
-        assert fresh.shape == out.shape == r.shape
-        assert fresh.tobytes() == out.tobytes() == whole.tobytes()
-    with pytest.raises(ValueError):
-        pair_connectedness_many(model, flat, out=np.empty(count + 1))
-    with pytest.raises(ValueError):
-        pair_connectedness_many(model, flat, out=np.empty(2 * count)[::2])
+        blocked = pair_connectedness_many(model, r)
+        assert blocked.shape == r.shape
+        assert blocked.tobytes() == model.h(r).tobytes()
 
 
 def test_run_trials_reuses_one_pair_table(monkeypatch):
