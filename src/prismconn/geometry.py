@@ -21,6 +21,7 @@ from .errors import DomainError, InvalidPrismError
 __all__ = [
     "BoundaryFeature",
     "RightPrism",
+    "check_integer",
     "check_seed",
     "cube_prism",
     "enumerate_features",
@@ -287,11 +288,16 @@ def sample_uniform_rng(
     return np.column_stack([xy, z])
 
 
+def check_integer(value, name: str, least: int) -> int:
+    """`value` as an int if it is an integer (not a bool) of at least `least`, else a DomainError."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed) -> int:
     """The seed as an int if it is a non-negative integer (not a bool), else a DomainError."""
-    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return check_integer(seed, "seed", 0)
 
 
 def sample_uniform(prism: RightPrism, count: int, seed: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DomainError
-from .geometry import RightPrism, check_seed, sample_uniform_rng
+from .geometry import RightPrism, check_integer, check_seed, sample_uniform_rng
 from .linkmodels import (
     H_BLOCK,
     ConnectionModel,
@@ -46,9 +46,16 @@ __all__ = [
 ]
 
 _EXACT_MAX_NODES = 12
-# Bytes one chunk of edge resampling may use: per resample, n(n-1)/2 float64
-# uniforms (about 4 n^2 bytes) plus an n x n bool adjacency.
-_RESAMPLE_CHUNK_BYTES = 10_000_000
+# Uniforms per chunk of edge resampling (512 KB of float64).  Measured with
+# tracemalloc, a resample peaks at 11 to 12 bytes per pair from 10 to 64
+# nodes (8 for its uniforms, 1 for its link bits, about 2 for its adjacency)
+# and at 20 at 2 nodes, where its per-node arrays count: a call peaks at
+# 0.8 to 1.3 MB until, from 257 nodes, a chunk holds one resample.
+_RESAMPLE_UNIFORMS = 1 << 16
+# The most (S, T) entries the exact oracle tabulates at once.  Only levels
+# from 11 nodes up are split; at 12 nodes a call peaks at 1.4 MB, where one
+# pass over the largest level (62 865 entries) peaked at 3.5 MB.
+_EXACT_BLOCK = 1 << 14
 # Bytes a trial's per-pair arrays may take, and what they take per pair at
 # worst: with every pair in range and undecided, and every one linked (cube
 # of side 2, MIMO 2x2 at beta = 0.01, or a unit disk of radius 4), one trial
@@ -194,8 +201,7 @@ class McConfig:
     ceiling: _HCeiling = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise DomainError(f"node_count must be >= 1, got {self.node_count}")
+        check_integer(self.node_count, "node_count", 1)
         if self.node_count > _MAX_NODES:
             # the count itself only while it is short: it can have any size
             count = self.node_count
@@ -205,8 +211,7 @@ class McConfig:
                 f"table fits in {_PAIR_TABLE_BYTES // 10**6} MB per trial "
                 f"at {_BYTES_PER_PAIR} bytes per pair"
             )
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        check_integer(self.trials, "trials", 1)
         check_seed(self.seed)
         cutoff = support_radius(self.model)
         object.__setattr__(self, "cutoff", cutoff)
@@ -396,7 +401,7 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
     f(S) = 1 - sum over proper subsets T of S containing that node of
     f(T) * prod of (1 - H_ij) across the (T, S - T) cut; tabulated over
     bitmasks, so the cost grows as 3^n and the node count is capped (at 12
-    nodes the largest level holds 62 865 (S, T) pairs, a 3.5 MB peak).  The
+    nodes, taken in blocks of at most 2^14 (S, T) pairs, a 1.4 MB peak).  The
     sum cancels to rounding error when the nodes cannot connect, so the
     result is clipped to [0, 1].
     """
@@ -427,48 +432,69 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
     # L - 1 bits: choice j takes bit k + 1 when bit k of j is set.  Rows run
     # j = 2^(L-1) - 2 down to 0 (T = S left out), T descending, and terms
     # are taken left to right, so each f(S) is the same float sum as a
-    # descending walk over submasks.
+    # descending walk over submasks.  Each mask is one column, so a level
+    # runs in blocks of columns of at most `_EXACT_BLOCK` entries with the
+    # same float operations.
     f = np.zeros(1 << n)
     f[popcount == 1] = 1.0
     for size in range(2, n + 1):
-        masks = np.flatnonzero(popcount == size)
-        bits = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, size)
+        level = np.flatnonzero(popcount == size)
         choice = np.arange((1 << (size - 1)) - 2, -1, -1)[:, None]
         select = choice >> np.arange(size - 1) & 1
-        subs = (1 << bits[:, 0]) + select @ (1 << bits[:, 1:]).T
-        rest = masks ^ subs
-        cut = miss[bits[:, 0], rest]
-        for k in range(1, size):
-            cut *= np.where(select[:, k - 1 : k], miss[bits[:, k], rest], 1.0)
-        terms = np.concatenate((np.ones((1, len(masks))), -(f[subs] * cut)))
-        f[masks] = np.cumsum(terms, axis=0)[-1]
+        cols = max(1, _EXACT_BLOCK // len(select))
+        for start in range(0, len(level), cols):
+            masks = level[start : start + cols]
+            bits = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, size)
+            subs = (1 << bits[:, 0]) + select @ (1 << bits[:, 1:]).T
+            rest = masks ^ subs
+            cut = miss[bits[:, 0], rest]
+            for k in range(1, size):
+                cut *= np.where(select[:, k - 1 : k], miss[bits[:, k], rest], 1.0)
+            terms = np.concatenate((np.ones((1, len(masks))), -(f[subs] * cut)))
+            f[masks] = np.cumsum(terms, axis=0)[-1]
     return min(1.0, max(0.0, float(f[-1])))
 
 
 def edge_resampling_estimate(
     points, model: ConnectionModel, resamples: int, seed: int
 ) -> McEstimate:
-    """Connectivity frequency over edge redraws at fixed node positions."""
+    """Connectivity frequency over edge redraws at fixed node positions.
+
+    Each resample draws one uniform per pair, in `pdist` order, from one
+    stream seeded by `seed`; pair (i, j) links when its uniform is below
+    H.  Resamples run in chunks of about `_RESAMPLE_UNIFORMS` uniforms, one
+    resample at least: per chunk the uniforms, a table of their link bits
+    and the n x n adjacencies gathered from it, so the working set does not
+    grow with `resamples` (about 1 MB below 257 nodes).  The stream is read
+    in the same order whatever the chunk size, so results do not depend on
+    it.
+    """
     pts = _points(points)
     n = len(pts)
     if n < 2:
         raise DomainError(f"edge resampling needs at least 2 nodes, got {n}")
-    if resamples < 1:
-        raise DomainError(f"resamples must be >= 1, got {resamples}")
+    resamples = check_integer(resamples, "resamples", 1)
     rng = np.random.default_rng(check_seed(seed))
     h = pair_connectedness_many(model, pdist(pts))
-    ii, jj = np.triu_indices(n, 1)  # pdist's pair order
+    pairs = h.size
 
+    # Column of each adjacency entry in a row of link bits: (i, j) and
+    # (j, i) map to their pair's `pdist` column, the diagonal to the last
+    # column, which stays False.
+    index = squareform(np.arange(pairs))
+    np.fill_diagonal(index, pairs)
+    index = index.ravel()
+
+    chunk = max(1, min(resamples, _RESAMPLE_UNIFORMS // pairs))
+    u = np.empty((chunk, pairs))
+    links = np.zeros((chunk, pairs + 1), dtype=bool)
     connected = 0
     isolated_total = 0
-    chunk = max(1, min(resamples, _RESAMPLE_CHUNK_BYTES // (5 * n * n)))
     done = 0
     while done < resamples:
         size = min(chunk, resamples - done)
-        links = rng.random((size, h.size)) < h
-        adj = np.zeros((size, n, n), dtype=bool)
-        adj[:, ii, jj] = links
-        adj[:, jj, ii] = links
+        np.less(rng.random(out=u[:size]), h, out=links[:size, :pairs])
+        adj = links[:size].take(index, axis=1).reshape(size, n, n)
         isolated_total += int((~adj.any(axis=2)).sum())
         reach = np.zeros((size, n, 1), dtype=bool)
         reach[:, 0] = True

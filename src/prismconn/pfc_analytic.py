@@ -44,8 +44,18 @@ _CLASS_NAMES = {3: "corners", 2: "edges", 1: "faces", 0: "bulk"}
 
 
 def homogeneous_mass_mimo2(beta: float) -> float:
-    """Closed-form M' of the eta = 2, min-2-antenna MIMO link in 3D."""
-    return (23.0 - _SQRT2) * math.sqrt(math.pi) / (16.0 * beta**1.5)
+    """Closed-form M' of the eta = 2, min-2-antenna MIMO link in 3D.
+
+    Raises OverflowError, as the closed masses in `connmass` do, where
+    beta^1.5 underflows so far that M' is no finite double.
+    """
+    scale = 16.0 * beta**1.5
+    mass = (23.0 - _SQRT2) * math.sqrt(math.pi) / scale if scale else math.inf
+    if mass == math.inf:
+        raise OverflowError(
+            f"homogeneous_mass_mimo2: beta^1.5 = {beta}^1.5 underflows, so M' overflows"
+        )
+    return mass
 
 
 def _require_supported(params: PathLossParams) -> None:
@@ -196,6 +206,10 @@ def assemble(
     rhos = [float(r) for r in rho_grid]
     for rho in rhos:
         _check_rho(rho)
+    # first, so a mass that overflows is the one line a caller sees
+    contributions = tuple(
+        feature_contribution(f, params) for f in enumerate_features(prism)
+    )
     # The regime flag keys on the characteristic scale; the stricter
     # shortest-edge check only warns, since single marginal edges degrade
     # their own term, not the whole expansion.
@@ -207,9 +221,6 @@ def assemble(
             "boundary expansion assumes it is large",
             stacklevel=2,
         )
-    contributions = tuple(
-        feature_contribution(f, params) for f in enumerate_features(prism)
-    )
     results = []
     for rho in rhos:
         p_out = sum(c.term(rho) for c in contributions)

@@ -201,6 +201,22 @@ def test_closed_mass_overflow_is_a_numerical_failure(model, m, beta, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["pfc"], ["simulate", "--trials", "1", "--seed", "1"]],
+    ids=["pfc", "simulate"],
+)
+def test_homogeneous_mass_overflow_is_a_numerical_failure(command, tmp_path, capsys):
+    # beta^1.5 underflows to 0 at beta = 1e-308: one line, no traceback, no output
+    out = tmp_path / "out.csv"
+    argv = [*command, "--beta", "1e-308", "--rho", "0.5", "--prism", "cube", "--L", "2",
+            "--output", str(out)]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: homogeneous_mass_mimo2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "config_text, argv",
     [
         ('[ "rho" ]', ["--config", "{config}"]),

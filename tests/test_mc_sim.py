@@ -1,6 +1,7 @@
 """Monte Carlo engine: exact oracle chain, determinism, connectivity checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from prismconn.mc_sim import (
     Z_95,
     Z_99,
     McConfig,
+    McEstimate,
     UnionFind,
     _HCeiling,
     _pair_nodes,
@@ -743,6 +745,62 @@ def test_edge_resampling_counts_past_255_neighbours():
     assert estimate.mean_isolated == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 12, 258])
+def test_edge_resampling_does_not_depend_on_chunking(n, monkeypatch):
+    # One resample per chunk, every resample in one chunk and the default
+    # chunking give the same estimate, field by field, as a BFS on each row
+    # of the same uniforms.  At 258 nodes a node has more than 255 neighbours.
+    rng = np.random.default_rng(n)
+    pts = sample_uniform_rng(house_prism(3.0 if n < 100 else 7.0), n, rng)
+    model = Mimo(2, 2, PathLossParams(1.0, 2.0, 3))
+    resamples = 2000 if n < 100 else 40
+    estimates = [edge_resampling_estimate(pts, model, resamples, seed=n)]
+    for uniforms in (1, 1 << 40):
+        monkeypatch.setattr(mc_sim, "_RESAMPLE_UNIFORMS", uniforms)
+        estimates.append(edge_resampling_estimate(pts, model, resamples, seed=n))
+    assert estimates[1] == estimates[0] == estimates[2]
+    connected, isolated = reference_resampling(n, *cutoff_route(pts, model), resamples, n)
+    assert 0 < connected < resamples
+    low, high = wilson_interval(connected, resamples)
+    assert estimates[0] == McEstimate(
+        connected / resamples, resamples, low, high, isolated / resamples
+    )
+
+
+def test_exact_oracle_does_not_depend_on_blocking(monkeypatch):
+    # 12 nodes: the default splits the largest levels; 1 makes every mask
+    # its own block and 2^30 every level one block.
+    rng = np.random.default_rng(12)
+    model = Mimo(2, 2, PathLossParams(0.35, 2.0, 3))
+    sets = [sample_uniform_rng(house_prism(3.0), 12, rng) for _ in range(2)]
+    expected = [exact_connectivity_probability(pts, model) for pts in sets]
+    assert all(0.0 < p < 1.0 for p in expected)
+    for block in (1, 1 << 30):
+        monkeypatch.setattr(mc_sim, "_EXACT_BLOCK", block)
+        assert [exact_connectivity_probability(pts, model) for pts in sets] == expected
+
+
+def test_oracle_working_sets_stay_small():
+    # tracemalloc sees numpy's allocations: 10^5 edge resamples at 10 nodes
+    # peaked at 11.5 MB, and the exact oracle at 12 nodes at 3.5 MB, when
+    # neither ran in bounded chunks.
+    rng = np.random.default_rng(7)
+    model = Mimo(2, 2, PathLossParams(0.35, 2.0, 3))
+    ten, twelve = (sample_uniform_rng(house_prism(3.0), n, rng) for n in (10, 12))
+    for call in (
+        lambda: edge_resampling_estimate(ten, model, 100_000, seed=3),
+        lambda: exact_connectivity_probability(twelve, model),
+    ):
+        call()  # one-time allocations (numpy, scipy) before measuring
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+
 def test_edge_resampling_validation():
     with pytest.raises(DomainError):
         edge_resampling_estimate([(0.0, 0.0, 0.0)], Siso(P3), 100, 1)
@@ -750,6 +808,17 @@ def test_edge_resampling_validation():
         edge_resampling_estimate(
             [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], Siso(P3), 0, 1
         )
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_counts_must_be_integers(count):
+    pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    with pytest.raises(DomainError, match="resamples"):
+        edge_resampling_estimate(pts, Siso(P3), count, 1)
+    with pytest.raises(DomainError, match="trials"):
+        McConfig(cube_prism(1.0), Siso(P3), node_count=5, trials=count, seed=1)
+    with pytest.raises(DomainError, match="node_count"):
+        McConfig(cube_prism(1.0), Siso(P3), node_count=count, trials=10, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])

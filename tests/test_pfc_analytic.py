@@ -56,6 +56,14 @@ def test_mass_constant_identity():
     )
 
 
+def test_mass_that_is_no_finite_double_overflows():
+    # 1e-308^1.5 underflows to 0; 1e-206^1.5 is subnormal and M' overflows
+    for beta in (1e-308, 1e-206):
+        with pytest.raises(OverflowError, match="homogeneous_mass_mimo2"):
+            homogeneous_mass_mimo2(beta)
+    assert math.isfinite(homogeneous_mass_mimo2(1e-205))
+
+
 @pytest.mark.parametrize("rho", [0.5, 0.9, 1.4])
 def test_house_term_formulas(rho):
     ref = house_terms_reference(rho)
