@@ -60,7 +60,6 @@ from .pfc_analytic import (
     edge_contribution,
     face_contribution,
     feature_table,
-    homogeneous_mass_mimo2,
 )
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "exact_connectivity_probability",
     "face_contribution",
     "feature_table",
-    "homogeneous_mass_mimo2",
     "house_prism",
     "load_prism",
     "mass_mimo_closed",

@@ -2,11 +2,11 @@
 
 Four models are supported: SISO, SIMO/MISO with m diversity branches,
 MIMO with beamforming + maximum ratio combining restricted to
-min(n_t, n_r) = 2, and the unit-disk hard threshold.  Each model owns its
-H as an `h(r)` method that takes a scalar or an array of distances; the
-scalar and vectorized entry points below are thin wrappers over it.  The
-MIMO connectedness is also available in two further algebraically
-equivalent forms so the three can be cross-checked.
+min(n_t, n_r) = 2, and the unit-disk hard threshold.  SISO is SIMO/MISO
+with m = 1.  Each model owns its H as an `h(r)` method that takes a scalar
+or an array of distances; the scalar and vectorized entry points below are
+thin wrappers over it.  The MIMO connectedness is also available in two
+further algebraically equivalent forms so the three can be cross-checked.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ class PathLossParams:
         as it rounds the same value inside an array.
         """
         return self.beta * np.power(r, self.eta)
-
-
-@dataclass(frozen=True)
-class Siso:
-    """Single antenna at both ends; exponential channel power."""
-
-    params: PathLossParams
-    diversity = 1
-
-    def h(self, r):
-        return np.exp(-self.params.x(r))
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,12 @@ class UnitDisk:
         return (r < self.radius) * 1.0 + (r == self.radius) * math.exp(-self.params.beta)
 
 
-ConnectionModel = Union[Siso, SimoMiso, Mimo, UnitDisk]
+ConnectionModel = Union[SimoMiso, Mimo, UnitDisk]
+
+
+def Siso(params: PathLossParams) -> SimoMiso:
+    """Single antenna at both ends: the one-branch diversity link."""
+    return SimoMiso(1, params)
 
 
 # float and int are Reals too; named first, they skip the slower ABC check.

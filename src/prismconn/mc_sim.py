@@ -488,6 +488,7 @@ def edge_resampling_estimate(
     chunk = max(1, min(resamples, _RESAMPLE_UNIFORMS // pairs))
     u = np.empty((chunk, pairs))
     links = np.zeros((chunk, pairs + 1), dtype=bool)
+    ones = np.ones((n, 1), dtype=bool)
     connected = 0
     isolated_total = 0
     done = 0
@@ -495,7 +496,9 @@ def edge_resampling_estimate(
         size = min(chunk, resamples - done)
         np.less(rng.random(out=u[:size]), h, out=links[:size, :pairs])
         adj = links[:size].take(index, axis=1).reshape(size, n, n)
-        isolated_total += int((~adj.any(axis=2)).sum())
+        # The bool product's row is False where a node has no link; about
+        # twice as fast as `any` along the short last axis.
+        isolated_total += size * n - int(np.count_nonzero(adj @ ones))
         reach = np.zeros((size, n, 1), dtype=bool)
         reach[:, 0] = True
         for _ in range(n - 1):

@@ -1,23 +1,28 @@
 """High-density analytic full-connectivity probability in right prisms.
 
-Valid for the min-2-antenna MIMO link with free-space path loss (eta = 2)
-in three dimensions, the one case with hand-derived per-feature constants:
-corners, edges, faces, and bulk each contribute an exponentially decaying
+Corners, edges, faces, and bulk each contribute an exponentially decaying
 term controlled by the solid angle available there, and
 
     P_fc ~= 1 - sum over features of rho^(1-codim) G V exp(-rho omega M')
 
-where M' is the homogeneous mass of connectivity of the link.  The
-first-order expansion may go negative at low density; values are reported
-as-is with an out-of-regime flag rather than clamped.
+where M' = integral r^2 H dr is the homogeneous mass of connectivity of the
+link.  For an isotropic H the geometric factors follow from one more moment,
+J = integral r H dr: with g = 1 / (2 pi J), a face has G = g, an edge of
+opening angle theta 4 g^2 / sin(theta) and a corner 32 pi g^3 /
+(theta sin(theta)).  Both moments come from `connmass`'s closed n = 2
+MIMO mass; the pipeline is validated for the min-2-antenna MIMO link with
+free-space path loss (eta = 2) in three dimensions only.  The first-order
+expansion may go negative at low density; values are reported as-is with an
+out-of-regime flag rather than clamped.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .connmass import mass_mimo_n2_specialization
 from .errors import CapabilityError, DomainError
 from .geometry import BoundaryFeature, RightPrism, enumerate_features
 from .linkmodels import PathLossParams
@@ -34,34 +39,17 @@ __all__ = [
     "face_contribution",
     "feature_contribution",
     "feature_table",
-    "homogeneous_mass_mimo2",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _MIN_SCALE = 5.0  # derivations assume sqrt(beta) * feature length >> 1
 
 _CLASS_NAMES = {3: "corners", 2: "edges", 1: "faces", 0: "bulk"}
 
 
-def homogeneous_mass_mimo2(beta: float) -> float:
-    """Closed-form M' of the eta = 2, min-2-antenna MIMO link in 3D.
-
-    Raises OverflowError, as the closed masses in `connmass` do, where
-    beta^1.5 underflows so far that M' is no finite double.
-    """
-    scale = 16.0 * beta**1.5
-    mass = (23.0 - _SQRT2) * math.sqrt(math.pi) / scale if scale else math.inf
-    if mass == math.inf:
-        raise OverflowError(
-            f"homogeneous_mass_mimo2: beta^1.5 = {beta}^1.5 underflows, so M' overflows"
-        )
-    return mass
-
-
 def _require_supported(params: PathLossParams) -> None:
     if params.eta != 2.0 or params.dim != 3:
         raise CapabilityError(
-            "per-feature constants are derived for eta = 2 in three dimensions "
+            "the per-feature expansion is validated for eta = 2 in three dimensions "
             f"only, got eta={params.eta}, dim={params.dim}"
         )
 
@@ -71,16 +59,11 @@ def _check_rho(rho: float) -> None:
         raise DomainError(f"node density must be a positive finite real, got {rho}")
 
 
-def _corner_factor(theta: float, beta: float) -> float:
-    return 256.0 * beta**3 / (343.0 * math.pi**2 * theta * math.sin(theta))
-
-
-def _edge_factor(theta: float, beta: float) -> float:
-    return 16.0 * beta**2 / (49.0 * math.pi**2 * math.sin(theta))
-
-
-def _face_factor(beta: float) -> float:
-    return 2.0 * beta / (7.0 * math.pi)
+def _moments(params: PathLossParams) -> tuple[float, float]:
+    """M' = integral r^2 H dr and g = 1 / (2 pi J), J = integral r H dr, of the link."""
+    _require_supported(params)
+    mass = mass_mimo_n2_specialization(params)
+    return mass, 1.0 / (2.0 * math.pi * mass_mimo_n2_specialization(replace(params, dim=2)))
 
 
 def _per_density(feature: BoundaryFeature, params: PathLossParams, rho: float) -> float:
@@ -145,22 +128,24 @@ class FeatureContribution:
         )
 
 
+def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureContribution:
+    """One feature's term from the link's M' and g (see `_moments`)."""
+    if feature.codim == 3:
+        factor = 32.0 * math.pi * g**3 / (feature.angle * math.sin(feature.angle))
+    elif feature.codim == 2:
+        factor = 4.0 * g**2 / math.sin(feature.angle)
+    elif feature.codim == 1:
+        factor = g
+    else:
+        factor = 1.0
+    return FeatureContribution(feature, factor, feature.solid_angle * mass, 1 - feature.codim)
+
+
 def feature_contribution(
     feature: BoundaryFeature, params: PathLossParams
 ) -> FeatureContribution:
     """Geometric factor, exponent rate, and density power for one feature."""
-    _require_supported(params)
-    beta = params.beta
-    if feature.codim == 3:
-        factor = _corner_factor(feature.angle, beta)
-    elif feature.codim == 2:
-        factor = _edge_factor(feature.angle, beta)
-    elif feature.codim == 1:
-        factor = _face_factor(beta)
-    else:
-        factor = 1.0
-    rate = feature.solid_angle * homogeneous_mass_mimo2(beta)
-    return FeatureContribution(feature, factor, rate, 1 - feature.codim)
+    return _contribution(feature, *_moments(params))
 
 
 @dataclass(frozen=True)
@@ -207,9 +192,8 @@ def assemble(
     for rho in rhos:
         _check_rho(rho)
     # first, so a mass that overflows is the one line a caller sees
-    contributions = tuple(
-        feature_contribution(f, params) for f in enumerate_features(prism)
-    )
+    moments = _moments(params)
+    contributions = tuple(_contribution(f, *moments) for f in enumerate_features(prism))
     # The regime flag keys on the characteristic scale; the stricter
     # shortest-edge check only warns, since single marginal edges degrade
     # their own term, not the whole expansion.
@@ -233,9 +217,10 @@ def assemble(
 
 def feature_table(prism: RightPrism, params: PathLossParams) -> list[dict]:
     """Per-feature (measure, solid angle, geometric factor) ledger rows."""
+    moments = _moments(params)
     rows = []
     for f in enumerate_features(prism):
-        contrib = feature_contribution(f, params)
+        contrib = _contribution(f, *moments)
         rows.append(
             {
                 "class": _CLASS_NAMES[f.codim],

@@ -212,8 +212,38 @@ def test_homogeneous_mass_overflow_is_a_numerical_failure(command, tmp_path, cap
             "--output", str(out)]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("numerical failure: homogeneous_mass_mimo2")
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: mass_mimo_n2_specialization")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mass", "--model", "simo", "--m", "2"], ["pfc", "--rho", "0.5"],
+     ["simulate", "--rho", "0.5", "--trials", "2", "--seed", "1"]],
+    ids=["mass", "pfc", "simulate"],
+)
+def test_huge_beta_is_a_numerical_failure_that_names_the_cause(command, tmp_path, capsys):
+    # beta^(3/2) overflows at 1e300, so M' (about 1e-450) is no positive double
+    out = tmp_path / "out.csv"
+    assert run_cli([*command, "--beta", "1e300", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: mass_")
+    assert "^1.5 overflows, so M' is no positive double" in err
+    assert not out.exists()
+
+
+def test_mimo_mass_runs_at_every_order_mimo_takes(tmp_path, capsys):
+    # Gamma(2n + nu) / Gamma(n)^2 passes the doubles from n = 504; M' stays near 4e3
+    out = tmp_path / "mass.csv"
+    assert run_cli(["mass", "--model", "mimo", "--m", "504,512", "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["k"] for row in rows] == ["504", "512"]
+    for row in rows:
+        closed, quad = float(row["closed_form"]), float(row["quadrature"])
+        assert closed == pytest.approx(quad, rel=1e-11)
+    assert run_cli(["mass", "--model", "mimo", "--m", "513", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("capability error: MIMO H is implemented")
 
 
 @pytest.mark.parametrize(

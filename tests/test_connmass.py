@@ -105,6 +105,24 @@ def test_closed_vs_quadrature_grid():
                     assert abs(closed - quad) <= max(1e-9, 1e-6 * closed)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+def test_mimo_closed_mass_at_the_highest_orders(d, eta):
+    # Gamma(2n + nu) / Gamma(n)^2 passes the doubles from n = 504 (eta = 2,
+    # d = 3), while M' itself stays near 4e3 up to n = 512
+    params = PathLossParams(1.0, eta, d)
+    for n in (503, 504, 510, 512):
+        closed = mass_mimo_closed(n, params).value
+        assert closed == pytest.approx(mass_quadrature(Mimo(2, n, params)).value, rel=1e-11)
+
+
+@pytest.mark.parametrize("beta, n", [(1e-100, 300), (1e-50, 512), (1e-200, 60)])
+def test_mimo_closed_mass_whose_prefactor_overflows_at_a_small_beta(beta, n):
+    params = PathLossParams(beta, 2.0, 3)
+    closed = mass_mimo_closed(n, params).value
+    assert closed == pytest.approx(mass_quadrature(Mimo(2, n, params)).value, rel=1e-11)
+
+
 def test_power_scaling_in_beta():
     # the closed forms factor as beta^(-d/eta) times a constant
     for d, eta in ((2, 2.0), (3, 2.0), (3, 4.0)):
@@ -150,6 +168,9 @@ def test_closed_masses_refuse_to_overflow(mass):
     # large but finite masses still come back
     for beta in (1e-200, 1e-100, 1.0, 1e100):
         assert math.isfinite(mass(PathLossParams(beta, 2.0, 3)))
+    # beta^(3/2) overflows at 1e300, so M' (about 1e-450) is no positive double
+    with pytest.raises(OverflowError, match=r"overflows, so M' is no positive double"):
+        mass(PathLossParams(1e300, 2.0, 3))
 
 
 def test_closed_masses_keep_their_bits():
@@ -180,9 +201,13 @@ def test_scaling_leading_values():
         pytest.approx(8.0 / 3.0, rel=1e-14)
     )
     with pytest.raises(CapabilityError):
-        mass_scaling_leading(Siso(PathLossParams(1.0, 2.0, 3)))
-    with pytest.raises(CapabilityError):
         mass_scaling_leading(UnitDisk(1.0, PathLossParams(1.0, 2.0, 3)))
+
+
+@pytest.mark.parametrize("d, eta", [(1, 2.0), (2, 2.0), (3, 2.0), (3, 4.0)])
+def test_siso_has_the_leading_order_of_one_branch(d, eta):
+    params = PathLossParams(0.7, eta, d)
+    assert mass_scaling_leading(Siso(params)) == mass_scaling_leading(SimoMiso(1, params))
 
 
 def test_leading_order_convergence_monotone():
@@ -264,6 +289,8 @@ def test_capability_and_domain_errors():
     params = PathLossParams(1.0, 2.0, 3)
     with pytest.raises(CapabilityError):
         mass_mimo_closed(1, params)
+    with pytest.raises(CapabilityError, match="<= 512"):
+        mass_mimo_closed(513, params)
     with pytest.raises(DomainError):
         mass_simo_closed(0, params)
 

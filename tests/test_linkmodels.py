@@ -97,6 +97,12 @@ def test_simo_m1_identical_to_siso():
         assert pair_connectedness(model_m1, r) == pair_connectedness(model_siso, r)
 
 
+@pytest.mark.parametrize("params", [P3, PathLossParams(0.3, 4.0, 2)], ids=["p3", "p2"])
+def test_siso_is_the_one_branch_diversity_link(params):
+    assert Siso(params) == SimoMiso(1, params)
+    assert type(Siso(params)) is SimoMiso
+
+
 def test_bounds_and_monotonicity():
     rng = np.random.default_rng(11)
     models = [
@@ -212,8 +218,6 @@ def mpmath_h(model, r):
             return math.exp(-model.params.beta)
         return 1.0 if r < model.radius else 0.0
     x = mpmath.mpf(model.params.beta) * mpmath.mpf(float(r)) ** mpmath.mpf(model.params.eta)
-    if isinstance(model, Siso):
-        return mpmath.exp(-x)
     if isinstance(model, SimoMiso):
         return mpmath.gammainc(model.m, x, mpmath.inf, regularized=True)
     n = model.n

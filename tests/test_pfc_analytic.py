@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from prismconn.connmass import mass_mimo_closed, mass_quadrature
+from prismconn.connmass import mass_mimo_closed, mass_mimo_n2_specialization, mass_quadrature
 from prismconn.errors import CapabilityError, DomainError
-from prismconn.geometry import cube_prism, house_prism
+from prismconn.geometry import BoundaryFeature, cube_prism, house_prism
 from prismconn.linkmodels import Mimo, PathLossParams
 from prismconn.pfc_analytic import (
     assemble,
@@ -18,14 +18,32 @@ from prismconn.pfc_analytic import (
     cumulative_pfc,
     edge_contribution,
     face_contribution,
+    feature_contribution,
     feature_table,
-    homogeneous_mass_mimo2,
 )
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
 PARAMS = PathLossParams(1.0, 2.0, 3)
 L = 7.0
+
+
+# Hand-derived constants of the eta = 2, min-2-antenna MIMO link in 3D, where
+# J = integral r H dr = 7 / (4 beta): the oracle for the general moment path.
+def homogeneous_mass_mimo2(beta):
+    return (23.0 - SQRT2) * math.sqrt(PI) / (16.0 * beta**1.5)
+
+
+def corner_factor(theta, beta):
+    return 256.0 * beta**3 / (343.0 * PI**2 * theta * math.sin(theta))
+
+
+def edge_factor(theta, beta):
+    return 16.0 * beta**2 / (49.0 * PI**2 * math.sin(theta))
+
+
+def face_factor(beta):
+    return 2.0 * beta / (7.0 * PI)
 
 
 def house_terms_reference(rho, beta=1.0, length=L):
@@ -51,17 +69,47 @@ def test_mass_constant_identity():
     nu = 1.5
     reduced = (nu * nu + nu + 2.0 - 2.0 ** (-nu)) * math.gamma(nu) / 2.0
     assert homogeneous_mass_mimo2(1.0) == pytest.approx(reduced, rel=1e-12)
-    assert homogeneous_mass_mimo2(1.0) == pytest.approx(
-        (23.0 - SQRT2) * math.sqrt(PI) / 16.0, rel=1e-15
+    # pfc's source of M' and J, the 2D mass (7 / 4 at beta = 1), is within an
+    # ulp or so; the general closed form is within about 50
+    assert mass_mimo_n2_specialization(PARAMS) == pytest.approx(
+        homogeneous_mass_mimo2(1.0), rel=1e-15
+    )
+    assert mass_mimo_n2_specialization(PathLossParams(1.0, 2.0, 2)) == 1.75
+    assert mass_mimo_closed(2, PARAMS).value == pytest.approx(
+        homogeneous_mass_mimo2(1.0), rel=1e-13
+    )
+    assert mass_mimo_closed(2, PathLossParams(1.0, 2.0, 2)).value == pytest.approx(
+        1.75, rel=1e-13
     )
 
 
+@pytest.mark.parametrize("beta", list(np.logspace(-3.0, 3.0, 25)))
+def test_general_path_matches_the_hand_constants(beta):
+    params = PathLossParams(beta, 2.0, 3)
+    mass = homogeneous_mass_mimo2(beta)
+    # the cube's and the house's angles, and one sharper than either
+    for theta in (PI / 2, 3 * PI / 4, 0.3):
+        corner = feature_contribution(BoundaryFeature(3, 1.0, theta, angle=theta), params)
+        edge = feature_contribution(BoundaryFeature(2, 1.0, 2 * theta, angle=theta), params)
+        assert corner.geometric_factor == pytest.approx(corner_factor(theta, beta), rel=1e-12)
+        assert edge.geometric_factor == pytest.approx(edge_factor(theta, beta), rel=1e-12)
+        assert corner.exponent_rate == pytest.approx(theta * mass, rel=1e-12)
+        assert edge.exponent_rate == pytest.approx(2 * theta * mass, rel=1e-12)
+    face = feature_contribution(BoundaryFeature(1, 1.0, 2 * PI), params)
+    bulk = feature_contribution(BoundaryFeature(0, 1.0, 4 * PI), params)
+    assert face.geometric_factor == pytest.approx(face_factor(beta), rel=1e-12)
+    assert bulk.geometric_factor == 1.0
+    assert face.exponent_rate == pytest.approx(2 * PI * mass, rel=1e-12)
+    assert bulk.exponent_rate == pytest.approx(4 * PI * mass, rel=1e-12)
+
+
 def test_mass_that_is_no_finite_double_overflows():
-    # 1e-308^1.5 underflows to 0; 1e-206^1.5 is subnormal and M' overflows
+    # 1e-308^1.5 underflows to 0; at 1e-206 M' is past the largest double
     for beta in (1e-308, 1e-206):
-        with pytest.raises(OverflowError, match="homogeneous_mass_mimo2"):
-            homogeneous_mass_mimo2(beta)
-    assert math.isfinite(homogeneous_mass_mimo2(1e-205))
+        with pytest.raises(OverflowError, match="mass_mimo_n2_specialization"):
+            assemble(cube_prism(L), PathLossParams(beta, 2.0, 3), [1.0])
+    # M' is about 7.6e307 at 1e-205: every term is exp(-huge) = 0
+    assert assemble(cube_prism(L), PathLossParams(1e-205, 2.0, 3), [1.0])[0].p_fc == 1.0
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9, 1.4])
