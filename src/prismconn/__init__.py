@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 from .connmass import (
     MassResult,
     error_order_fit,
-    mass_mimo_closed,
-    mass_mimo_n2_specialization,
     mass_quadrature,
     mass_scaling_leading,
-    mass_simo_closed,
     step_error,
 )
 from .errors import CapabilityError, ConvergenceError, DomainError, InvalidPrismError
@@ -55,10 +52,6 @@ from .pfc_analytic import (
     FeatureContribution,
     PfcBreakdown,
     assemble,
-    bulk_contribution,
-    corner_contribution,
-    edge_contribution,
-    face_contribution,
     feature_table,
 )
 
@@ -81,25 +74,18 @@ __all__ = [
     "Siso",
     "UnitDisk",
     "assemble",
-    "bulk_contribution",
     "connection_field",
     "connectivity_check",
-    "corner_contribution",
     "cube_prism",
-    "edge_contribution",
     "edge_resampling_estimate",
     "enumerate_features",
     "error_order_fit",
     "exact_connectivity_probability",
-    "face_contribution",
     "feature_table",
     "house_prism",
     "load_prism",
-    "mass_mimo_closed",
-    "mass_mimo_n2_specialization",
     "mass_quadrature",
     "mass_scaling_leading",
-    "mass_simo_closed",
     "mimo_gamma_form",
     "pair_connectedness",
     "pair_connectedness_many",

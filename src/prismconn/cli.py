@@ -271,7 +271,6 @@ def cmd_mass(args) -> int:
         raise DomainError(f"mass supports models siso|simo|mimo, got {kind!r}")
     if kind == "siso":
         params["k"] = [1]
-    closed_form = connmass.mass_mimo_closed if kind == "mimo" else connmass.mass_simo_closed
     header = [
         "model", "k", "d", "eta", "beta",
         "closed_form", "quadrature", "quad_abs_err", "leading_order", "rel_gap",
@@ -280,13 +279,13 @@ def cmd_mass(args) -> int:
     for eta in params["eta"]:
         pl = PathLossParams(beta, eta, d)
         for k in params["k"]:
-            closed = closed_form(k, pl)
             model = _link_model(kind, k, None, pl)
+            closed = model.moment(d)
             quad = connmass.mass_quadrature(model)
             leading = connmass.mass_scaling_leading(model)
             rows.append(
-                [kind, k, d, eta, beta, closed.value, quad.value,
-                 quad.est_abs_error, leading, closed.value / leading - 1.0]
+                [kind, k, d, eta, beta, closed, quad.value,
+                 quad.est_abs_error, leading, closed / leading - 1.0]
             )
     _write_output(args, header, rows)
     _write_manifest(args, params)

@@ -1,12 +1,13 @@
-"""Homogeneous mass of connectivity: closed forms, quadrature oracle, scaling laws.
+"""Homogeneous mass of connectivity: quadrature oracle and scaling laws.
 
 The homogeneous mass M' of a link model is the radial integral
 integral_0^inf r^(d-1) H(r) dr; multiplied by the solid angle available
 to a boundary point it controls the exponential suppression of isolated
-nodes there.  This module provides the closed forms for every fading
-model, an independent adaptive-quadrature evaluation of the defining
-integral, the large-m / large-n leading-order terms (the step-function
-approximation) and the error split of that step.
+nodes there.  Its closed forms belong to the fading models
+(`model.moment(d)` in `linkmodels`).  This module provides an independent
+adaptive-quadrature evaluation of the defining integral, the cross-check
+of those closed forms, the large-m / large-n leading-order terms (the
+step-function approximation) and the error split of that step.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import specfun
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .linkmodels import (
     ConnectionModel,
     Mimo,
     PathLossParams,
     SimoMiso,
+    _beta_scale,
+    _finite_mass,
     pair_connectedness,  # noqa: F401  unused; perfbench's tracer test wraps it here
     pair_connectedness_many,
     support_radius,
@@ -33,11 +35,8 @@ __all__ = [
     "MassResult",
     "error_order_fit",
     "loglog_slope",
-    "mass_mimo_closed",
-    "mass_mimo_n2_specialization",
     "mass_quadrature",
     "mass_scaling_leading",
-    "mass_simo_closed",
     "step_error",
 ]
 
@@ -46,81 +45,7 @@ class MassResult:
     """A value of M' (units length^d) with its estimated absolute error."""
 
     value: float
-    est_abs_error: float = 0.0
-
-
-def _beta_scale(params: PathLossParams, mass: str) -> float:
-    """beta^(d/eta), which every closed-form mass divides by; 0 would overflow M'."""
-    try:
-        scale = params.beta ** (params.dim / params.eta)
-    except OverflowError:
-        raise OverflowError(
-            f"{mass}: beta^(d/eta) = {params.beta}^{params.dim / params.eta} "
-            "overflows, so M' is no positive double"
-        ) from None
-    if scale == 0.0:
-        raise OverflowError(
-            f"{mass}: beta^(d/eta) = {params.beta}^{params.dim / params.eta} "
-            "underflows to 0, so M' overflows"
-        )
-    return scale
-
-
-def _finite_mass(value: float, mass: str) -> float:
-    if not math.isfinite(value):
-        raise OverflowError(f"{mass}: M' is not a finite double ({value})")
-    return value
-
-
-def mass_simo_closed(m: int, params: PathLossParams) -> MassResult:
-    """Closed-form M' for an m-branch diversity link (m = 1 is SISO)."""
-    if m < 1:
-        raise DomainError(f"diversity order m must be >= 1, got {m}")
-    nu = params.dim / params.eta
-    value = math.exp(specfun.log_gamma(m + nu) - specfun.log_gamma(m)) / (
-        _beta_scale(params, "mass_simo_closed") * params.dim
-    )
-    return MassResult(_finite_mass(value, "mass_simo_closed"))
-
-
-def mass_mimo_closed(n: int, params: PathLossParams) -> MassResult:
-    """Closed-form M' for the min-2-antenna MIMO link with n = max(n_t, n_r)."""
-    if n < 2:
-        raise CapabilityError(f"MIMO mass requires n >= 2, got {n}")
-    Mimo(2, n, params)  # refuses the orders past which H is not implemented
-    nu = params.dim / params.eta
-    scale = _beta_scale(params, "mass_mimo_closed")
-    linear = (1.0 - nu) * math.exp(
-        specfun.log_gamma(n - 1 + nu) - specfun.log_gamma(n - 1)
-    ) / (scale * params.dim)
-    log_prefactor = specfun.log_gamma(2 * n + nu) - 2.0 * specfun.log_gamma(n)
-    f_plain = specfun.gauss_2f1(n - 1, 2 * n + nu, n + 1, -1.0)
-    f_shift = specfun.gauss_2f1(n - 1 + nu, 2 * n + nu, n + 1 + nu, -1.0)
-    bracket = f_plain / n - (n - 1) / ((n + nu) * (n - 1 + nu)) * f_shift
-    # Where the prefactor passes the doubles (from n = 504 at beta = 1, or at
-    # a small beta) the bracket is tiny and positive: multiply in logarithms.
-    try:
-        tail = math.exp(log_prefactor) / (scale * params.dim) * bracket
-    except OverflowError:
-        tail = math.inf
-    if tail == math.inf:
-        tail = math.exp(log_prefactor + math.log(bracket)) / (scale * params.dim)
-    return MassResult(_finite_mass(linear + tail, "mass_mimo_closed"))
-
-
-def mass_mimo_n2_specialization(params: PathLossParams) -> float:
-    """The n = 2 MIMO mass in its reduced form: `pfc_analytic`'s M' (and, in 2D, J).
-
-    Within an ulp or so of the exact value at eta = 2, d = 3, where
-    `mass_mimo_closed(2, ...)`, its cross-check, is about 50 ulp off.
-    """
-    nu = params.dim / params.eta
-    value = (
-        (nu * nu + nu + 2.0 - 2.0 ** (-nu))
-        * math.exp(specfun.log_gamma(nu))
-        / (_beta_scale(params, "mass_mimo_n2_specialization") * params.eta)
-    )
-    return _finite_mass(value, "mass_mimo_n2_specialization")
+    est_abs_error: float
 
 
 # QUADPACK's qk21: the 10 positive Kronrod abscissae on [-1, 1] (the Gauss
@@ -255,7 +180,7 @@ def mass_scaling_leading(model: ConnectionModel) -> float:
         )
     p = model.params
     nu = p.dim / p.eta
-    value = model.diversity**nu / (_beta_scale(p, "mass_scaling_leading") * p.dim)
+    value = model.diversity**nu / (_beta_scale(p, p.dim, "mass_scaling_leading") * p.dim)
     return _finite_mass(value, "mass_scaling_leading")
 
 

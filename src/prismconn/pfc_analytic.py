@@ -9,34 +9,30 @@ where M' = integral r^2 H dr is the homogeneous mass of connectivity of the
 link.  For an isotropic H the geometric factors follow from one more moment,
 J = integral r H dr: with g = 1 / (2 pi J), a face has G = g, an edge of
 opening angle theta 4 g^2 / sin(theta) and a corner 32 pi g^3 /
-(theta sin(theta)).  Both moments come from `connmass`'s closed n = 2
-MIMO mass; the pipeline is validated for the min-2-antenna MIMO link with
-free-space path loss (eta = 2) in three dimensions only.  The first-order
-expansion may go negative at low density; values are reported as-is with an
-out-of-regime flag rather than clamped.
+(theta sin(theta)).  Both moments come from the 2x2 MIMO link's closed
+form, `Mimo(2, 2, params).moment(3)` and `.moment(2)`; the pipeline is
+validated for that link with free-space path loss (eta = 2) in three
+dimensions only.  The first-order expansion may go negative at low
+density; values are reported as-is with an out-of-regime flag rather than
+clamped.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .connmass import mass_mimo_n2_specialization
 from .errors import CapabilityError, DomainError
 from .geometry import BoundaryFeature, RightPrism, enumerate_features
-from .linkmodels import PathLossParams
+from .linkmodels import Mimo, PathLossParams
 
 __all__ = [
     "FeatureContribution",
     "PfcBreakdown",
     "assemble",
-    "bulk_contribution",
     "class_term_sums",
-    "corner_contribution",
     "cumulative_pfc",
-    "edge_contribution",
-    "face_contribution",
     "feature_contribution",
     "feature_table",
 ]
@@ -62,46 +58,8 @@ def _check_rho(rho: float) -> None:
 def _moments(params: PathLossParams) -> tuple[float, float]:
     """M' = integral r^2 H dr and g = 1 / (2 pi J), J = integral r H dr, of the link."""
     _require_supported(params)
-    mass = mass_mimo_n2_specialization(params)
-    return mass, 1.0 / (2.0 * math.pi * mass_mimo_n2_specialization(replace(params, dim=2)))
-
-
-def _per_density(feature: BoundaryFeature, params: PathLossParams, rho: float) -> float:
-    """One feature's term without the overall density prefactor rho."""
-    _check_rho(rho)
-    return feature_contribution(feature, params).term(rho) / rho
-
-
-def corner_contribution(theta: float, params: PathLossParams, rho: float) -> float:
-    """Outage integral of one corner of opening angle theta (before the
-    overall density prefactor)."""
-    return _per_density(BoundaryFeature(3, 1.0, theta, angle=theta), params, rho)
-
-
-def edge_contribution(
-    theta: float, length: float, params: PathLossParams, rho: float
-) -> float:
-    """Outage integral of one edge of the given length and opening angle."""
-    value = _per_density(BoundaryFeature(2, length, 2.0 * theta, angle=theta), params, rho)
-    if math.sqrt(params.beta) * length < _MIN_SCALE:
-        warnings.warn(
-            f"sqrt(beta) * edge length = {math.sqrt(params.beta) * length:.3g} is "
-            "small; the edge expansion assumes it is large",
-            stacklevel=2,
-        )
-    return value
-
-
-def face_contribution(surface_area: float, params: PathLossParams, rho: float) -> float:
-    """Outage integral of the full surface, via equivalence with a sphere
-    of the same area (no per-face enumeration needed)."""
-    return _per_density(BoundaryFeature(1, surface_area, 2.0 * math.pi), params, rho)
-
-
-def bulk_contribution(volume: float, params: PathLossParams, rho: float) -> float:
-    """Outage integral of the interior, via equivalence with a sphere of
-    the same volume."""
-    return _per_density(BoundaryFeature(0, volume, 4.0 * math.pi), params, rho)
+    link = Mimo(2, 2, params)
+    return link.moment(3), 1.0 / (2.0 * math.pi * link.moment(2))
 
 
 @dataclass(frozen=True)
@@ -130,14 +88,19 @@ class FeatureContribution:
 
 def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureContribution:
     """One feature's term from the link's M' and g (see `_moments`)."""
+    try:
+        power = g**feature.codim
+    except OverflowError:  # g^3, then g^2, passes the doubles at a huge beta
+        raise OverflowError(
+            f"{_CLASS_NAMES[feature.codim]}: the geometric factor overflows, since "
+            f"g^{feature.codim} with g = 1/(2 pi J) = {g:.6g} is no double"
+        ) from None
     if feature.codim == 3:
-        factor = 32.0 * math.pi * g**3 / (feature.angle * math.sin(feature.angle))
+        factor = 32.0 * math.pi * power / (feature.angle * math.sin(feature.angle))
     elif feature.codim == 2:
-        factor = 4.0 * g**2 / math.sin(feature.angle)
-    elif feature.codim == 1:
-        factor = g
+        factor = 4.0 * power / math.sin(feature.angle)
     else:
-        factor = 1.0
+        factor = power  # g for a face, 1 for the bulk
     return FeatureContribution(feature, factor, feature.solid_angle * mass, 1 - feature.codim)
 
 

@@ -7,7 +7,6 @@ the exponent-rate check as a negative control.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -127,11 +126,11 @@ def _check_cross_form_h() -> CheckResult:
     )
 
 
-# One row per link family: its closed-form mass, its link of order k and the
-# orders the mass oracle checks.
+# One row per link family: its link of order k and the orders the mass oracle
+# checks.
 _FAMILIES = (
-    ("simo", connmass.mass_simo_closed, SimoMiso, (1, 3, 8)),
-    ("mimo", connmass.mass_mimo_closed, functools.partial(Mimo, 2), (2, 5, 8)),
+    ("simo", SimoMiso, (1, 3, 8)),
+    ("mimo", lambda k, params: Mimo(2, k, params), (2, 5, 8)),
 )
 
 
@@ -140,10 +139,11 @@ def _check_mass_oracle() -> CheckResult:
     for d in (1, 2, 3):
         for eta in (2.0, 3.0, 4.0):
             params = PathLossParams(1.0, eta, d)
-            for _, closed_form, link, orders in _FAMILIES:
+            for _, link, orders in _FAMILIES:
                 for k in orders:
-                    closed = closed_form(k, params).value
-                    quad = connmass.mass_quadrature(link(k, params)).value
+                    model = link(k, params)
+                    closed = model.moment(d)
+                    quad = connmass.mass_quadrature(model).value
                     worst = max(worst, abs(closed - quad) / quad)
     return CheckResult(
         "mass-oracle", worst < 1e-6, f"max relative gap {worst:.3e}"
@@ -169,11 +169,10 @@ def _check_scaling_slopes() -> CheckResult:
     ks = [4, 8, 16, 32, 64]
     slopes = {
         name: connmass.loglog_slope(ks, [
-            abs(closed_form(k, params).value
-                / connmass.mass_scaling_leading(link(k, params)) - 1.0)
-            for k in ks
+            abs(model.moment(3) / connmass.mass_scaling_leading(model) - 1.0)
+            for model in (link(k, params) for k in ks)
         ])
-        for name, closed_form, link, _ in _FAMILIES
+        for name, link, _ in _FAMILIES
     }
     details = [f"{name} {slope:.3f}" for name, slope in slopes.items()]
     ok = abs(slopes["simo"] + 1.0) < 0.15 and abs(slopes["mimo"] + 0.5) < 0.15

@@ -18,12 +18,10 @@ from prismconn.cli import main as cli_main
 from prismconn.connmass import (
     error_order_fit,
     loglog_slope,
-    mass_mimo_closed,
     mass_quadrature,
     mass_scaling_leading,
-    mass_simo_closed,
 )
-from prismconn.geometry import house_prism, sample_uniform_rng
+from prismconn.geometry import BoundaryFeature, house_prism, sample_uniform_rng
 from prismconn.linkmodels import (
     Mimo,
     PathLossParams,
@@ -43,14 +41,7 @@ from prismconn.mc_sim import (
     run_trials,
     wilson_interval,
 )
-from prismconn.pfc_analytic import (
-    assemble,
-    bulk_contribution,
-    corner_contribution,
-    edge_contribution,
-    face_contribution,
-    feature_table,
-)
+from prismconn.pfc_analytic import assemble, feature_contribution, feature_table
 from prismconn.validation import (
     bfs_component_count,
     brute_force_connectivity_probability,
@@ -95,12 +86,12 @@ def test_criterion_2_mass_oracle():
             for beta in (0.5, 1.0, 2.0):
                 params = PathLossParams(beta, eta, d)
                 for m in range(1, 9):
-                    closed = mass_simo_closed(m, params).value
+                    closed = SimoMiso(m, params).moment(d)
                     quad = mass_quadrature(SimoMiso(m, params)).value
                     worst = max(worst, abs(closed - quad) / quad)
                     cases += 1
                 for n in range(2, 9):
-                    closed = mass_mimo_closed(n, params).value
+                    closed = Mimo(2, n, params).moment(d)
                     quad = mass_quadrature(Mimo(2, n, params)).value
                     worst = max(worst, abs(closed - quad) / quad)
                     cases += 1
@@ -115,7 +106,7 @@ def test_criterion_3_rate_identities():
     worst = 0.0
     for beta in (0.5, 1.0, 2.0):
         params = PathLossParams(beta, 2.0, 3)
-        mass = mass_mimo_closed(2, params).value
+        mass = Mimo(2, 2, params).moment(3)
         for theta in (PI / 2, 3 * PI / 4, 0.3):
             corner_rate = (23.0 - SQRT2) * math.sqrt(PI) * theta / (16.0 * beta**1.5)
             edge_rate = (23.0 - SQRT2) * math.sqrt(PI) * theta / (8.0 * beta**1.5)
@@ -135,14 +126,14 @@ def test_criterion_4_scaling_orders(tmp_path):
     simo_slope = loglog_slope(
         ks,
         [
-            abs(mass_simo_closed(m, params).value / mass_scaling_leading(SimoMiso(m, params)) - 1)
+            abs(SimoMiso(m, params).moment(3) / mass_scaling_leading(SimoMiso(m, params)) - 1)
             for m in ks
         ],
     )
     mimo_slope = loglog_slope(
         ks,
         [
-            abs(mass_mimo_closed(n, params).value / mass_scaling_leading(Mimo(2, n, params)) - 1)
+            abs(Mimo(2, n, params).moment(3) / mass_scaling_leading(Mimo(2, n, params)) - 1)
             for n in ks
         ],
     )
@@ -184,15 +175,19 @@ def test_criterion_5_house_terms():
         "F": (2.0 * (11.0 + 2.0 * SQRT2) / 2.0 * 49.0 / (7.0 * PI), k / 8.0, 1),
         "U": (428.75, k / 4.0, 0),
     }
+    features = {
+        "C1": (6.0, BoundaryFeature(3, 1.0, PI / 2, angle=PI / 2)),
+        "C2": (4.0, BoundaryFeature(3, 1.0, 3 * PI / 4, angle=3 * PI / 4)),
+        "E1": (1.0, BoundaryFeature(2, (9.0 + 2.0 * SQRT2) * L, PI, angle=PI / 2)),
+        "E2": (1.0, BoundaryFeature(2, 2.0 * L, 3 * PI / 2, angle=3 * PI / 4)),
+        "F": (1.0, BoundaryFeature(1, (11.0 + 2.0 * SQRT2) / 2.0 * 49.0, 2 * PI)),
+        "U": (1.0, BoundaryFeature(0, 428.75, 4 * PI)),
+    }
     values = {}
     worst = 0.0
     for rho in (0.6, 1.0, 1.7):
-        values["C1"] = 6.0 * corner_contribution(PI / 2, params, rho)
-        values["C2"] = 4.0 * corner_contribution(3 * PI / 4, params, rho)
-        values["E1"] = edge_contribution(PI / 2, (9.0 + 2.0 * SQRT2) * L, params, rho)
-        values["E2"] = edge_contribution(3 * PI / 4, 2.0 * L, params, rho)
-        values["F"] = face_contribution((11.0 + 2.0 * SQRT2) / 2.0 * 49.0, params, rho)
-        values["U"] = bulk_contribution(428.75, params, rho)
+        for name, (count, feature) in features.items():
+            values[name] = count * feature_contribution(feature, params).term(rho) / rho
         for name, (pref, rate, power) in prefactors.items():
             recovered = values[name] * rho**power * math.exp(rate * rho)
             worst = max(worst, abs(recovered / pref - 1.0))

@@ -196,7 +196,8 @@ def test_closed_mass_overflow_is_a_numerical_failure(model, m, beta, tmp_path, c
     argv = ["mass", "--model", model, "--m", m, "--beta", beta, "--output", str(out)]
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("numerical failure: mass_")
+    link = "Mimo" if model == "mimo" else "SimoMiso"
+    assert err.count("\n") == 1 and err.startswith(f"numerical failure: {link}.moment")
     assert not out.exists()
 
 
@@ -213,7 +214,7 @@ def test_homogeneous_mass_overflow_is_a_numerical_failure(command, tmp_path, cap
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("numerical failure: mass_mimo_n2_specialization")
+    assert err.startswith("numerical failure: Mimo.moment")
     assert not out.exists()
 
 
@@ -228,8 +229,27 @@ def test_huge_beta_is_a_numerical_failure_that_names_the_cause(command, tmp_path
     out = tmp_path / "out.csv"
     assert run_cli([*command, "--beta", "1e300", "--output", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("numerical failure: mass_")
+    link = "SimoMiso" if command[0] == "mass" else "Mimo"
+    assert err.count("\n") == 1 and err.startswith(f"numerical failure: {link}.moment")
     assert "^1.5 overflows, so M' is no positive double" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["1e104", "1e200"])
+@pytest.mark.parametrize(
+    "command",
+    [["pfc"], ["simulate", "--trials", "1", "--seed", "1"]],
+    ids=["pfc", "simulate"],
+)
+def test_corner_factor_overflow_names_the_factor(command, beta, tmp_path, capsys):
+    # M' is a positive double here, but g = 1/(2 pi J) ~ beta / 11 and g^3 is not
+    out = tmp_path / "out.csv"
+    argv = [*command, "--beta", beta, "--rho", "0.5", "--prism", "cube", "--L", "2",
+            "--output", str(out)]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: corners: the geometric factor overflows")
     assert not out.exists()
 
 

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from prismconn import connmass
+from prismconn import connmass, specfun
 from prismconn.connmass import (
     _quad,
     error_order_fit,
     loglog_slope,
-    mass_mimo_closed,
-    mass_mimo_n2_specialization,
     mass_quadrature,
     mass_scaling_leading,
-    mass_simo_closed,
     step_error,
 )
 from prismconn.errors import CapabilityError, ConvergenceError, DomainError
@@ -26,6 +23,7 @@ from prismconn.linkmodels import (
     SimoMiso,
     Siso,
     UnitDisk,
+    _mimo_moment,
     pair_connectedness_many,
     support_radius,
 )
@@ -33,11 +31,11 @@ from prismconn.linkmodels import (
 
 def test_siso_closed_form_values():
     # d = 2: Gamma(2) / (2 Gamma(1)) = 1/2, so the full mass is pi/beta
-    assert mass_simo_closed(1, PathLossParams(1.0, 2.0, 2)).value == pytest.approx(
+    assert SimoMiso(1, PathLossParams(1.0, 2.0, 2)).moment(2) == pytest.approx(
         0.5, rel=1e-14
     )
     # d = 3: Gamma(2.5) / 3 = sqrt(pi)/4; times 4*pi gives pi^(3/2)
-    value = mass_simo_closed(1, PathLossParams(1.0, 2.0, 3)).value
+    value = SimoMiso(1, PathLossParams(1.0, 2.0, 3)).moment(3)
     assert value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-14)
     assert 4.0 * math.pi * value == pytest.approx(math.pi**1.5, rel=1e-14)
 
@@ -46,13 +44,13 @@ def test_simo_closed_vs_quadrature_frozen():
     frozen = 1.904761904761905  # quadrature of the defining integral
     params = PathLossParams(0.7, 3.0, 3)
     assert mass_quadrature(SimoMiso(4, params)).value == pytest.approx(frozen, rel=1e-10)
-    assert mass_simo_closed(4, params).value == pytest.approx(frozen, rel=1e-10)
+    assert SimoMiso(4, params).moment(params.dim) == pytest.approx(frozen, rel=1e-10)
 
 
 def test_mimo_n2_frozen_value_and_identity():
     params = PathLossParams(1.0, 2.0, 3)
     frozen = 2.3912381435122416  # quadrature of r^2 exp(-r^2)(r^4 + 2 - exp(-r^2))
-    closed = mass_mimo_closed(2, params).value
+    closed = Mimo(2, 2, params).moment(params.dim)
     assert closed == pytest.approx(frozen, rel=1e-10)
     assert mass_quadrature(Mimo(2, 2, params)).value == pytest.approx(frozen, rel=1e-9)
     # the closed-form constant is (23 - sqrt 2) sqrt(pi) / 16
@@ -66,8 +64,8 @@ def test_mimo_n2_specialization_matches_general():
         for eta in (2.0, 3.0, 4.0):
             for beta in (0.5, 1.0, 2.0):
                 params = PathLossParams(beta, eta, d)
-                general = mass_mimo_closed(2, params).value
-                reduced = mass_mimo_n2_specialization(params)
+                general = _mimo_moment(2, params, d)
+                reduced = Mimo(2, 2, params).moment(d)
                 assert general == pytest.approx(reduced, rel=1e-10)
 
 
@@ -77,7 +75,7 @@ def test_mimo_frozen_quadrature_values():
     )
     params = PathLossParams(1.0, 2.0, 3)
     assert mass_quadrature(Mimo(2, 3, params)).value == pytest.approx(
-        mass_mimo_closed(3, params).value, rel=1e-6
+        Mimo(2, 3, params).moment(params.dim), rel=1e-6
     )
 
 
@@ -96,11 +94,11 @@ def test_closed_vs_quadrature_grid():
             for beta in (0.5, 2.0):
                 params = PathLossParams(beta, eta, d)
                 for m in (1, 4, 8):
-                    closed = mass_simo_closed(m, params).value
+                    closed = SimoMiso(m, params).moment(params.dim)
                     quad = mass_quadrature(SimoMiso(m, params)).value
                     assert abs(closed - quad) <= max(1e-9, 1e-6 * closed)
                 for n in (2, 5, 8):
-                    closed = mass_mimo_closed(n, params).value
+                    closed = Mimo(2, n, params).moment(params.dim)
                     quad = mass_quadrature(Mimo(2, n, params)).value
                     assert abs(closed - quad) <= max(1e-9, 1e-6 * closed)
 
@@ -112,14 +110,14 @@ def test_mimo_closed_mass_at_the_highest_orders(d, eta):
     # d = 3), while M' itself stays near 4e3 up to n = 512
     params = PathLossParams(1.0, eta, d)
     for n in (503, 504, 510, 512):
-        closed = mass_mimo_closed(n, params).value
+        closed = Mimo(2, n, params).moment(params.dim)
         assert closed == pytest.approx(mass_quadrature(Mimo(2, n, params)).value, rel=1e-11)
 
 
 @pytest.mark.parametrize("beta, n", [(1e-100, 300), (1e-50, 512), (1e-200, 60)])
 def test_mimo_closed_mass_whose_prefactor_overflows_at_a_small_beta(beta, n):
     params = PathLossParams(beta, 2.0, 3)
-    closed = mass_mimo_closed(n, params).value
+    closed = Mimo(2, n, params).moment(params.dim)
     assert closed == pytest.approx(mass_quadrature(Mimo(2, n, params)).value, rel=1e-11)
 
 
@@ -128,12 +126,12 @@ def test_power_scaling_in_beta():
     for d, eta in ((2, 2.0), (3, 2.0), (3, 4.0)):
         nu = d / eta
         scaled = [
-            mass_simo_closed(3, PathLossParams(b, eta, d)).value * b**nu
+            SimoMiso(3, PathLossParams(b, eta, d)).moment(d) * b**nu
             for b in (0.25, 0.5, 1.0, 2.0, 4.0)
         ]
         assert max(scaled) - min(scaled) <= 1e-10 * scaled[0]
         scaled = [
-            mass_mimo_closed(4, PathLossParams(b, eta, d)).value * b**nu
+            Mimo(2, 4, PathLossParams(b, eta, d)).moment(d) * b**nu
             for b in (0.25, 1.0, 4.0)
         ]
         assert max(scaled) - min(scaled) <= 1e-10 * scaled[0]
@@ -143,18 +141,18 @@ def test_power_scaling_in_beta():
 def test_quadrature_tracks_the_closed_form_at_a_tiny_beta(m):
     # the support radius lies past 2^200, at about 5.6e65
     params = PathLossParams(1e-130, 2.0, 3)
-    closed = mass_simo_closed(m, params).value
+    closed = SimoMiso(m, params).moment(params.dim)
     assert mass_quadrature(SimoMiso(m, params)).value == pytest.approx(closed, rel=1e-9)
 
 
 @pytest.mark.parametrize(
     "mass",
     [
-        lambda p: mass_simo_closed(1, p).value,
-        lambda p: mass_simo_closed(2, p).value,
-        lambda p: mass_mimo_closed(2, p).value,
-        lambda p: mass_mimo_closed(3, p).value,
-        mass_mimo_n2_specialization,
+        lambda p: SimoMiso(1, p).moment(p.dim),
+        lambda p: SimoMiso(2, p).moment(p.dim),
+        lambda p: _mimo_moment(2, p, p.dim),
+        lambda p: Mimo(2, 3, p).moment(p.dim),
+        lambda p: Mimo(2, 2, p).moment(p.dim),
         lambda p: mass_scaling_leading(SimoMiso(3, p)),
         lambda p: mass_scaling_leading(Mimo(2, 4, p)),
     ],
@@ -175,18 +173,18 @@ def test_closed_masses_refuse_to_overflow(mass):
 
 def test_closed_masses_keep_their_bits():
     # the formulas the guards wrap, written out
-    log_gamma = connmass.specfun.log_gamma
+    log_gamma = specfun.log_gamma
     for beta in (1e-200, 1e-7, 0.37, 1.0, 3.0, 1e150):
         for d, eta in ((1, 2.0), (2, 3.0), (3, 2.0), (3, 4.5)):
             p = PathLossParams(beta, eta, d)
             nu = d / eta
             for m in (1, 2, 5):
-                assert mass_simo_closed(m, p).value == (
+                assert SimoMiso(m, p).moment(p.dim) == (
                     math.exp(log_gamma(m + nu) - log_gamma(m))
                     / (beta**nu * d)
                 )
                 assert mass_scaling_leading(SimoMiso(m, p)) == m**nu / (beta**nu * d)
-            assert mass_mimo_n2_specialization(p) == (
+            assert Mimo(2, 2, p).moment(d) == (
                 (nu * nu + nu + 2.0 - 2.0 ** (-nu))
                 * math.exp(log_gamma(nu))
                 / (beta**nu * eta)
@@ -214,7 +212,7 @@ def test_leading_order_convergence_monotone():
     params = PathLossParams(1.0, 2.0, 3)
     gaps = [
         abs(
-            mass_simo_closed(m, params).value
+            SimoMiso(m, params).moment(params.dim)
             / mass_scaling_leading(SimoMiso(m, params))
             - 1.0
         )
@@ -227,12 +225,12 @@ def test_simo_and_mimo_scaling_orders():
     params = PathLossParams(1.0, 2.0, 3)
     ms = [4, 8, 16, 32, 64]
     simo_gap = [
-        abs(mass_simo_closed(m, params).value / mass_scaling_leading(SimoMiso(m, params)) - 1)
+        abs(SimoMiso(m, params).moment(params.dim) / mass_scaling_leading(SimoMiso(m, params)) - 1)
         for m in ms
     ]
     assert loglog_slope(ms, simo_gap) == pytest.approx(-1.0, abs=0.15)
     mimo_gap = [
-        abs(mass_mimo_closed(n, params).value / mass_scaling_leading(Mimo(2, n, params)) - 1)
+        abs(Mimo(2, n, params).moment(params.dim) / mass_scaling_leading(Mimo(2, n, params)) - 1)
         for n in ms
     ]
     assert loglog_slope(ms, mimo_gap) == pytest.approx(-0.5, abs=0.15)
@@ -246,8 +244,8 @@ def test_step_approx_values():
 
     assert step(2) == pytest.approx(2.0**1.5 / 3.0, rel=1e-14)
     assert step(8) == pytest.approx(8.0**1.5 / 3.0, rel=1e-14)
-    gap16 = abs(mass_mimo_closed(16, params).value - step(16)) / step(16)
-    gap64 = abs(mass_mimo_closed(64, params).value - step(64)) / step(64)
+    gap16 = abs(Mimo(2, 16, params).moment(params.dim) - step(16)) / step(16)
+    gap64 = abs(Mimo(2, 64, params).moment(params.dim) - step(64)) / step(64)
     assert gap64 < gap16
 
 
@@ -288,11 +286,11 @@ def test_error_order_fit_validation():
 def test_capability_and_domain_errors():
     params = PathLossParams(1.0, 2.0, 3)
     with pytest.raises(CapabilityError):
-        mass_mimo_closed(1, params)
+        Mimo(2, 1, params)
     with pytest.raises(CapabilityError, match="<= 512"):
-        mass_mimo_closed(513, params)
+        Mimo(2, 513, params)
     with pytest.raises(DomainError):
-        mass_simo_closed(0, params)
+        SimoMiso(0, params)
 
 
 def test_scaling_slope_helper_validation():

@@ -1,6 +1,7 @@
 """Pair-connectedness models: point values, cross-form agreement, limits."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -289,6 +290,46 @@ def test_mimo_h_against_mpmath(eta):
             above = oracle >= 1e-12
             assert above.sum() > 40 and (~above).sum() > 0
             np.testing.assert_allclose(h[above], oracle[above], rtol=1e-13, atol=0.0)
+
+
+def mpmath_moment(model, d):
+    """integral r^(d-1) H dr from the closed forms at 40 digits (2F1 for every MIMO order)."""
+    beta, eta = mpmath.mpf(model.params.beta), mpmath.mpf(model.params.eta)
+    nu = mpmath.mpf(d) / eta
+    if isinstance(model, SimoMiso):
+        return mpmath.gamma(model.m + nu) / (mpmath.gamma(model.m) * beta**nu * d)
+    n = model.n
+    linear = (1 - nu) * mpmath.gamma(n - 1 + nu) / mpmath.gamma(n - 1)
+    prefactor = mpmath.gamma(2 * n + nu) / mpmath.gamma(n) ** 2
+    bracket = mpmath.hyp2f1(n - 1, 2 * n + nu, n + 1, -1) / n - (n - 1) / (
+        (n + nu) * (n - 1 + nu)
+    ) * mpmath.hyp2f1(n - 1 + nu, 2 * n + nu, n + 1 + nu, -1)
+    return (linear + prefactor * bracket) / (beta**nu * d)
+
+
+# Worst relative error seen over the grid below, and the bound asserted:
+# SimoMiso 7.0e-14 (m = 64), Mimo n = 2 (reduced form) 7.1e-16, Mimo n > 2
+# 9.3e-14 (n = 64).  The error grows with log Gamma of the order.
+MOMENT_BOUNDS = {
+    "simo": ([SimoMiso(m, P3) for m in (1, 2, 8, 64)], 1e-13),
+    "mimo_n2": ([Mimo(2, 2, P3)], 2e-15),
+    "mimo_above_n2": ([Mimo(2, n, P3) for n in (3, 8, 64)], 2e-13),
+}
+
+
+@pytest.mark.parametrize("family", list(MOMENT_BOUNDS))
+def test_closed_moments_against_mpmath(family):
+    models, bound = MOMENT_BOUNDS[family]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for model in models:
+            for eta in (2.0, 3.0, 4.0):
+                for beta in (0.35, 1.0, 4.0):
+                    link = replace(model, params=PathLossParams(beta, eta, 3))
+                    for d in (1, 2, 3):
+                        exact = mpmath_moment(link, d)
+                        worst = max(worst, float(abs(link.moment(d) - exact) / exact))
+    assert worst <= bound
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 64])

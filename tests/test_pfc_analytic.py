@@ -6,18 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from prismconn.connmass import mass_mimo_closed, mass_mimo_n2_specialization, mass_quadrature
+from prismconn.connmass import mass_quadrature
 from prismconn.errors import CapabilityError, DomainError
 from prismconn.geometry import BoundaryFeature, cube_prism, house_prism
-from prismconn.linkmodels import Mimo, PathLossParams
+from prismconn.linkmodels import Mimo, PathLossParams, _mimo_moment
 from prismconn.pfc_analytic import (
     assemble,
-    bulk_contribution,
     class_term_sums,
-    corner_contribution,
     cumulative_pfc,
-    edge_contribution,
-    face_contribution,
     feature_contribution,
     feature_table,
 )
@@ -46,6 +42,11 @@ def face_factor(beta):
     return 2.0 * beta / (7.0 * PI)
 
 
+def per_density(feature, rho, params=PARAMS):
+    """One feature's term without the overall density prefactor rho."""
+    return feature_contribution(feature, params).term(rho) / rho
+
+
 def house_terms_reference(rho, beta=1.0, length=L):
     """The six named terms of the worked example, coded independently."""
     k = (23.0 - SQRT2) * (PI / beta) ** 1.5
@@ -71,14 +72,14 @@ def test_mass_constant_identity():
     assert homogeneous_mass_mimo2(1.0) == pytest.approx(reduced, rel=1e-12)
     # pfc's source of M' and J, the 2D mass (7 / 4 at beta = 1), is within an
     # ulp or so; the general closed form is within about 50
-    assert mass_mimo_n2_specialization(PARAMS) == pytest.approx(
+    assert Mimo(2, 2, PARAMS).moment(3) == pytest.approx(
         homogeneous_mass_mimo2(1.0), rel=1e-15
     )
-    assert mass_mimo_n2_specialization(PathLossParams(1.0, 2.0, 2)) == 1.75
-    assert mass_mimo_closed(2, PARAMS).value == pytest.approx(
+    assert Mimo(2, 2, PathLossParams(1.0, 2.0, 2)).moment(2) == 1.75
+    assert _mimo_moment(2, PARAMS, 3) == pytest.approx(
         homogeneous_mass_mimo2(1.0), rel=1e-13
     )
-    assert mass_mimo_closed(2, PathLossParams(1.0, 2.0, 2)).value == pytest.approx(
+    assert _mimo_moment(2, PathLossParams(1.0, 2.0, 2), 2) == pytest.approx(
         1.75, rel=1e-13
     )
 
@@ -106,7 +107,7 @@ def test_general_path_matches_the_hand_constants(beta):
 def test_mass_that_is_no_finite_double_overflows():
     # 1e-308^1.5 underflows to 0; at 1e-206 M' is past the largest double
     for beta in (1e-308, 1e-206):
-        with pytest.raises(OverflowError, match="mass_mimo_n2_specialization"):
+        with pytest.raises(OverflowError, match="Mimo.moment"):
             assemble(cube_prism(L), PathLossParams(beta, 2.0, 3), [1.0])
     # M' is about 7.6e307 at 1e-205: every term is exp(-huge) = 0
     assert assemble(cube_prism(L), PathLossParams(1e-205, 2.0, 3), [1.0])[0].p_fc == 1.0
@@ -115,23 +116,19 @@ def test_mass_that_is_no_finite_double_overflows():
 @pytest.mark.parametrize("rho", [0.5, 0.9, 1.4])
 def test_house_term_formulas(rho):
     ref = house_terms_reference(rho)
-    assert 6.0 * corner_contribution(PI / 2, PARAMS, rho) == pytest.approx(
-        ref["C1"], rel=1e-12
-    )
-    assert 4.0 * corner_contribution(3 * PI / 4, PARAMS, rho) == pytest.approx(
-        ref["C2"], rel=1e-12
-    )
-    assert edge_contribution(PI / 2, (9 + 2 * SQRT2) * L, PARAMS, rho) == pytest.approx(
-        ref["E1"], rel=1e-12
-    )
-    assert edge_contribution(3 * PI / 4, 2 * L, PARAMS, rho) == pytest.approx(
-        ref["E2"], rel=1e-12
-    )
+    corner = BoundaryFeature(3, 1.0, PI / 2, angle=PI / 2)
+    assert 6.0 * per_density(corner, rho) == pytest.approx(ref["C1"], rel=1e-12)
+    corner = BoundaryFeature(3, 1.0, 3 * PI / 4, angle=3 * PI / 4)
+    assert 4.0 * per_density(corner, rho) == pytest.approx(ref["C2"], rel=1e-12)
+    edge = BoundaryFeature(2, (9 + 2 * SQRT2) * L, PI, angle=PI / 2)
+    assert per_density(edge, rho) == pytest.approx(ref["E1"], rel=1e-12)
+    edge = BoundaryFeature(2, 2 * L, 3 * PI / 2, angle=3 * PI / 4)
+    assert per_density(edge, rho) == pytest.approx(ref["E2"], rel=1e-12)
     surface = (11 + 2 * SQRT2) / 2 * L * L
-    assert face_contribution(surface, PARAMS, rho) == pytest.approx(ref["F"], rel=1e-12)
-    assert bulk_contribution(1.25 * L**3, PARAMS, rho) == pytest.approx(
-        ref["U"], rel=1e-12
-    )
+    face = BoundaryFeature(1, surface, 2 * PI)
+    assert per_density(face, rho) == pytest.approx(ref["F"], rel=1e-12)
+    bulk = BoundaryFeature(0, 1.25 * L**3, 4 * PI)
+    assert per_density(bulk, rho) == pytest.approx(ref["U"], rel=1e-12)
 
 
 def test_assemble_equals_named_terms():
@@ -150,7 +147,7 @@ def test_assemble_equals_named_terms():
 
 def test_exponent_rate_identity():
     # every rate is solid_angle * M' with M' the n = 2 link mass
-    closed = mass_mimo_closed(2, PARAMS).value
+    closed = _mimo_moment(2, PARAMS, 3)
     quad = mass_quadrature(Mimo(2, 2, PARAMS)).value
     breakdown = assemble(house_prism(L), PARAMS, [0.7])[0]
     for contrib in breakdown.contributions:
@@ -230,15 +227,17 @@ def test_capability_errors():
     with pytest.raises(CapabilityError):
         assemble(house_prism(L), PathLossParams(1.0, 2.0, 2), [1.0])
     with pytest.raises(CapabilityError):
-        corner_contribution(PI / 2, PathLossParams(1.0, 4.0, 3), 1.0)
+        feature_contribution(
+            BoundaryFeature(3, 1.0, PI / 2, angle=PI / 2), PathLossParams(1.0, 4.0, 3)
+        )
     with pytest.raises(DomainError):
-        corner_contribution(PI, PARAMS, 1.0)
+        BoundaryFeature(3, 1.0, PI, angle=PI)
     with pytest.raises(DomainError):
         assemble(house_prism(L), PARAMS, [0.0])
     with pytest.raises(DomainError):
-        edge_contribution(PI / 2, -1.0, PARAMS, 1.0)
+        BoundaryFeature(2, -1.0, PI, angle=PI / 2)
     with pytest.raises(DomainError):
-        bulk_contribution(1.0, PARAMS, 0.0)
+        assemble(cube_prism(1.0), PARAMS, [0.0])
 
 
 def test_feature_table_house():
