@@ -26,6 +26,7 @@ from .linkmodels import (
     SimoMiso,
     _beta_scale,
     _finite_mass,
+    _support_bound,
     pair_connectedness,  # noqa: F401  unused; perfbench's tracer test wraps it here
     pair_connectedness_many,
     support_radius,
@@ -79,6 +80,9 @@ _GK_WG = np.array(
     [w for g in _WG for w in (0.0, g)] + [0.0] + [w for g in reversed(_WG) for w in (g, 0.0)]
 )
 _QUAD_LIMIT = 300  # subintervals, breakpoint panels included
+# Equal panels each segment between breakpoints starts as: fine enough that
+# almost every mass integrand meets the tolerance in the first f call.
+_START_PANELS = 8
 _QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 1e-11
 _EPS = np.finfo(float).eps
@@ -118,14 +122,20 @@ def _quad(
 ) -> tuple[float, float]:
     """Adaptive G10/K21 integral of an array integrand f over [lo, hi].
 
-    Panels start at lo, the breakpoints inside (lo, hi) and hi.  Each round
-    bisects, largest error first, just enough panels that the rest's error
-    is within tolerance, and evaluates all their halves in one f call; it
-    stops when the summed error is within max(epsabs, epsrel |value|), at
-    the subinterval limit, or when no panel can be bisected further.
+    Each segment between lo, the breakpoints inside (lo, hi) and hi starts
+    as `_START_PANELS` equal panels, all evaluated in one f call.  Each
+    further round bisects, largest error first, just enough panels that the
+    rest's error is within tolerance, and evaluates all their halves in one
+    f call; it stops when the summed error is within max(epsabs, epsrel
+    |value|), at the subinterval limit, or when no panel can be bisected
+    further.
     """
     edges = np.array([lo, *sorted(b for b in breakpoints if lo < b < hi), hi], dtype=float)
-    a, b = edges[:-1], edges[1:]
+    # Each segment's first panel starts on its edge exactly, and its last one
+    # ends on the next edge, the next segment's first start.
+    fractions = np.arange(_START_PANELS) / _START_PANELS
+    a = (edges[:-1, None] + np.diff(edges)[:, None] * fractions).ravel()
+    b = np.append(a[1:], hi)
     values, errs = _gk21(f, a, b)
     while a.size < _QUAD_LIMIT:
         excess = errs.sum() - max(_QUAD_EPSABS, _QUAD_EPSREL * abs(values.sum()))
@@ -155,19 +165,33 @@ def _quad(
     return value, abs_err
 
 
-def _step_radius(model: ConnectionModel) -> float:
-    """(k / beta)^(1/eta): where H of diversity order k drops like a step."""
-    return (model.diversity / model.params.beta) ** (1.0 / model.params.eta)
+def _upper_limit(model: ConnectionModel) -> float:
+    """Where the mass integrals stop: past it H is below the link-probability floor.
+
+    This is `_support_bound`'s power of two, found in a few scalar H calls
+    where `support_radius` bisects on with about 50 more.  Where beta * r^eta
+    overflows at that bound, H there reads 0 whatever its true value, so the
+    limit is `support_radius` instead, which refuses such a model with a
+    DomainError or returns a radius where beta * r^eta is still a double.
+    """
+    bound = _support_bound(model)
+    with np.errstate(over="ignore"):
+        overflows = not math.isfinite(model.params.x(bound))
+    return support_radius(model) if overflows else bound
 
 
 def mass_quadrature(model: ConnectionModel) -> MassResult:
-    """M' by adaptive quadrature of the defining radial integral."""
+    """M' by adaptive quadrature of the defining radial integral.
+
+    The integral runs from 0 to `_upper_limit`, with the model's step radius
+    as a breakpoint, so the unit disk's jump falls on a panel edge.
+    """
     d = model.params.dim
     value, abs_err = _quad(
         lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
         0.0,
-        support_radius(model),
-        breakpoints=(_step_radius(model),),
+        _upper_limit(model),
+        breakpoints=(model.step_radius(),),
     )
     return MassResult(value, abs_err)
 
@@ -195,14 +219,14 @@ def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
         raise DomainError(f"step error requires n >= 2, got {n}")
     model = Mimo(2, n, params)
     d = params.dim
-    transition = _step_radius(model)
+    transition = model.step_radius()
     eps_minus, _ = _quad(
         lambda r: r ** (d - 1) * (pair_connectedness_many(model, r) - 1.0), 0.0, transition
     )
     eps_plus, _ = _quad(
         lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
         transition,
-        support_radius(model),
+        _upper_limit(model),
     )
     return min(eps_minus, 0.0), max(eps_plus, 0.0)
 

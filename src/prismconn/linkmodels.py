@@ -92,6 +92,10 @@ class SimoMiso:
     def diversity(self) -> int:
         return self.m
 
+    def step_radius(self) -> float:
+        """(m / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
+        return (self.m / self.params.beta) ** (1.0 / self.params.eta)
+
     def h(self, r):
         x = self.params.x(r)
         if self.m == 1:
@@ -131,6 +135,10 @@ class Mimo:
         return max(self.n_t, self.n_r)
 
     diversity = n
+
+    def step_radius(self) -> float:
+        """(n / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
+        return (self.n / self.params.beta) ** (1.0 / self.params.eta)
 
     def h(self, r):
         # 1 - n P(n-1, x) P(n+1, x) + (n-1) P(n, x)^2 in closed form:
@@ -182,7 +190,9 @@ class UnitDisk:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be a positive finite real, got {self.radius}")
 
-    diversity = 1
+    def step_radius(self) -> float:
+        """The radius, where H jumps: the mass integral's breakpoint."""
+        return self.radius
 
     def h(self, r):
         return (r < self.radius) * 1.0 + (r == self.radius) * math.exp(-self.params.beta)
@@ -283,20 +293,32 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
     return out
 
 
-def support_radius(model: ConnectionModel) -> float:
-    """Distance beyond which H is below the link-probability floor.
+def _support_bound(model: ConnectionModel) -> float:
+    """The first power of two, counting up from 1, at which H is below the floor.
 
-    Found by doubling then bisection on the scalar H, so it holds for any
-    model whose H is non-increasing in r.  A model whose H stays above the
-    floor at every finite double raises ConvergenceError; one whose H reads
-    beta * r^eta (all but the unit disk) raises DomainError where r^eta
-    overflows first, since H past that point reads 0 whatever its true value.
+    A model whose H stays above the floor at every finite double raises
+    ConvergenceError.
     """
     hi = 1.0
     while pair_connectedness(model, hi) >= _LINK_PROB_FLOOR:
         hi *= 2.0
         if hi == math.inf:
             raise ConvergenceError(f"H of {model} is above {_LINK_PROB_FLOOR} at every distance")
+    return hi
+
+
+def support_radius(model: ConnectionModel) -> float:
+    """Distance beyond which H is below the link-probability floor.
+
+    Bisected on the scalar H inside `_support_bound`'s power of two down to
+    adjacent doubles, so it holds for any model whose H is non-increasing in
+    r; the Monte Carlo cutoff needs it to the last bit.  A model whose H
+    stays above the floor at every finite double raises ConvergenceError;
+    one whose H reads beta * r^eta (all but the unit disk) raises DomainError
+    where r^eta overflows first, since H past that point reads 0 whatever
+    its true value.
+    """
+    hi = _support_bound(model)
     lo, mid = 0.0, 0.5 * hi
     while lo < mid < hi:  # until lo and hi are adjacent doubles
         if pair_connectedness(model, mid) < _LINK_PROB_FLOOR:

@@ -77,13 +77,35 @@ class FeatureContribution:
     density_power: int
 
     def term(self, rho: float) -> float:
-        return (
-            self.feature.multiplicity
-            * rho**self.density_power
-            * self.geometric_factor
-            * self.feature.measure
-            * math.exp(-rho * self.exponent_rate)
-        )
+        try:
+            value = (
+                self.feature.multiplicity
+                * rho**self.density_power
+                * self.geometric_factor
+                * self.feature.measure
+                * math.exp(-rho * self.exponent_rate)
+            )
+        except OverflowError:  # rho^density_power at a tiny rho
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        # The product passed the doubles, or read inf * 0 where the exponential
+        # underflowed: in logarithms, only a term that is truly no finite
+        # double (G / rho^codim at a huge beta or a tiny rho) is refused.
+        factors = (self.feature.multiplicity, self.geometric_factor, self.feature.measure)
+        if 0.0 in factors:
+            return 0.0
+        try:
+            return math.exp(
+                sum(math.log(f) for f in factors)
+                + self.density_power * math.log(rho)
+                - rho * self.exponent_rate
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"{_CLASS_NAMES[self.feature.codim]}: the term at rho = {rho:.6g} "
+                "is no finite double"
+            ) from None
 
 
 def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureContribution:
@@ -91,16 +113,18 @@ def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureCon
     try:
         power = g**feature.codim
     except OverflowError:  # g^3, then g^2, passes the doubles at a huge beta
-        raise OverflowError(
-            f"{_CLASS_NAMES[feature.codim]}: the geometric factor overflows, since "
-            f"g^{feature.codim} with g = 1/(2 pi J) = {g:.6g} is no double"
-        ) from None
+        power = math.inf
     if feature.codim == 3:
         factor = 32.0 * math.pi * power / (feature.angle * math.sin(feature.angle))
     elif feature.codim == 2:
         factor = 4.0 * power / math.sin(feature.angle)
     else:
         factor = power  # g for a face, 1 for the bulk
+    if not math.isfinite(factor):
+        raise OverflowError(
+            f"{_CLASS_NAMES[feature.codim]}: the geometric factor overflows, since G, "
+            f"of order g^{feature.codim} with g = 1/(2 pi J) = {g:.6g}, is no double"
+        )
     return FeatureContribution(feature, factor, feature.solid_angle * mass, 1 - feature.codim)
 
 
@@ -171,6 +195,12 @@ def assemble(
     results = []
     for rho in rhos:
         p_out = sum(c.term(rho) for c in contributions)
+        if math.isinf(p_out):  # finite terms whose sum is not
+            top = max(contributions, key=lambda c: c.term(rho))
+            raise OverflowError(
+                f"{_CLASS_NAMES[top.feature.codim]}: the terms at rho = {rho:.6g} "
+                "sum past the doubles"
+            )
         p_fc = 1.0 - p_out
         results.append(
             PfcBreakdown(rho, contributions, p_fc, p_out, scale_ok and p_fc >= 0.0)

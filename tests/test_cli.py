@@ -253,6 +253,46 @@ def test_corner_factor_overflow_names_the_factor(command, beta, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["1e103", "6e103"])
+def test_corner_term_overflow_names_the_class(beta, tmp_path, capsys):
+    # g^3 and the corner factor are doubles here, but the corner term (or the
+    # factor itself at 6e103) is not; it was printed as inf, with p_fc = -inf
+    out = tmp_path / "out.csv"
+    assert run_cli(["pfc", "--beta", beta, "--rho", "0.5", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: corners: the ")
+    assert "overflows" in err or "is no finite double" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, m", [("siso", "1"), ("simo", "3"), ("mimo", "2")])
+def test_mass_where_r_to_the_eta_overflows_is_refused(model, m, tmp_path, capsys):
+    # H reads 0 once r^eta overflows, long before the true H meets the floor:
+    # integrated up to there, SISO's quadrature would be 2.738e230 against
+    # the closed form's 3.064e230
+    out = tmp_path / "mass.csv"
+    argv = ["mass", "--model", model, "--m", m, "--eta", "4", "--beta", "1e-308",
+            "--output", str(out)]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
+    assert "beta * r^eta overflows before H" in err or "x=inf" in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    # the README's uninstalled form: PYTHONPATH=src python -m prismconn ...
+    src = str(Path(prismconn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismconn", "validate", "--check", "union-find"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("union-find,PASS")
+
+
 def test_mimo_mass_runs_at_every_order_mimo_takes(tmp_path, capsys):
     # Gamma(2n + nu) / Gamma(n)^2 passes the doubles from n = 504; M' stays near 4e3
     out = tmp_path / "mass.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from prismconn import connmass, specfun
+from prismconn import connmass, linkmodels, specfun
 from prismconn.connmass import (
     _quad,
     error_order_fit,
@@ -24,6 +24,7 @@ from prismconn.linkmodels import (
     Siso,
     UnitDisk,
     _mimo_moment,
+    pair_connectedness,
     pair_connectedness_many,
     support_radius,
 )
@@ -86,6 +87,33 @@ def test_quadrature_unit_disk_and_siso():
     result = mass_quadrature(Siso(PathLossParams(1.0, 2.0, 2)))
     assert result.value == pytest.approx(0.5, abs=1e-10)
     assert result.est_abs_error < 1e-10
+
+
+def test_unit_disk_jump_is_a_panel_edge():
+    # the quadrature stops at a power of two past the radius; the model's step
+    # radius, its radius, keeps the jump on a panel edge
+    for radius in (2.3, 0.7, 5.0):
+        disk = UnitDisk(radius, PathLossParams(1.0, 2.0, 3))
+        assert disk.step_radius() == radius
+        assert mass_quadrature(disk).value == pytest.approx(radius**3 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [2e-307, 1e-306, 2.3e-306])
+def test_quadrature_stops_short_of_where_r_to_the_eta_overflows(beta):
+    # the support bound's r^4 passes the doubles, but beta * r^4 is still a
+    # double at the support radius, so the integral stops there
+    model = Siso(PathLossParams(beta, 4.0, 3))
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(model.params.x(connmass._support_bound(model)))
+    assert mass_quadrature(model).value == pytest.approx(model.moment(3), rel=1e-11)
+
+
+@pytest.mark.parametrize("model", [Siso, lambda p: SimoMiso(3, p), lambda p: Mimo(2, 2, p)],
+                         ids=["siso", "simo3", "mimo"])
+def test_quadrature_where_r_to_the_eta_overflows_is_a_domain_error(model):
+    link = model(PathLossParams(1e-308, 4.0, 3))
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
+        mass_quadrature(link)
 
 
 def test_closed_vs_quadrature_grid():
@@ -375,43 +403,54 @@ def test_quad_stops_at_300_subintervals():
 
     with pytest.raises(ConvergenceError):
         _quad(f, 0.0, 1.0)
-    # one starting panel, then two new panels per bisection: 299 bisections
+    # 8 starting panels, then two new panels per bisection: 292 bisections
     # leave exactly 300 subintervals
-    assert sum(nodes) == 21 * (1 + 2 * 299)
-    # every panel is bisected each round (1, 2, 4, ..., 256, then 44 of them)
-    assert len(nodes) == 10
+    assert connmass._START_PANELS == 8
+    assert sum(nodes) == 21 * (8 + 2 * 292)
+    # every panel is bisected each round (8, 16, ..., 128, then 44 of them)
+    assert len(nodes) == 7
 
 
 def test_quad_takes_a_constant_integrand():
     assert _quad(lambda r: 2.0, 0.0, 1.5) == pytest.approx((3.0, 0.0), abs=1e-13)
 
 
-MAX_ROUNDS = 5  # f calls per quadrature; 4572 masses over d, eta, beta and k <= 64 took 2-4
+MAX_ROUNDS = 2  # f calls per quadrature; 4572 masses over d, eta, beta and k <= 64 took 1-2
+MAX_SCALAR_H = 6  # scalar H calls of the doubling to the support bound on those masses
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
 def test_mass_quadrature_evaluates_h_on_arrays_in_few_rounds(monkeypatch, d, eta):
-    calls = []
+    calls, scalar = [], []
 
     def counting(model, r):
         calls.append(r)
         return pair_connectedness_many(model, r)
 
-    def scalar(model, r):
-        raise AssertionError("scalar H called by the quadrature")
+    def counting_scalar(model, r):
+        scalar.append(r)
+        return pair_connectedness(model, r)
 
     monkeypatch.setattr(connmass, "pair_connectedness_many", counting)
-    monkeypatch.setattr(connmass, "pair_connectedness", scalar)
+    monkeypatch.setattr(connmass, "pair_connectedness", counting_scalar)
+    monkeypatch.setattr(linkmodels, "pair_connectedness", counting_scalar)
     params = PathLossParams(1.0, eta, d)
     models = [SimoMiso(m, params) for m in (1, 8, 64)] + [Mimo(2, n, params) for n in (2, 8, 64)]
     for model in models:
         calls.clear()
+        scalar.clear()
         mass_quadrature(model)
         assert 1 <= len(calls) <= MAX_ROUNDS
         assert all(isinstance(r, np.ndarray) and r.size % 21 == 0 for r in calls)
+        # only the doubling to the support bound: H at 1, 2, 4, ... up to it
+        assert scalar == [2.0**i for i in range(len(scalar))]
+        assert len(scalar) <= MAX_SCALAR_H
     for n in (2, 8, 64):
         calls.clear()
+        scalar.clear()
         step_error(n, params)
         assert 2 <= len(calls) <= 2 * MAX_ROUNDS
         assert all(isinstance(r, np.ndarray) and r.size % 21 == 0 for r in calls)
+        assert scalar == [2.0**i for i in range(len(scalar))]
+        assert len(scalar) <= MAX_SCALAR_H

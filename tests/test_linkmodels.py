@@ -14,6 +14,7 @@ from prismconn.linkmodels import (
     SimoMiso,
     Siso,
     UnitDisk,
+    _support_bound,
     mimo_gamma_form,
     pair_connectedness,
     pair_connectedness_many,
@@ -349,6 +350,33 @@ def test_support_radius_is_bracketed_however_far():
         radius = support_radius(model)
         below = np.nextafter(radius, 0.0)
         assert pair_connectedness(model, radius) < 1e-12 <= pair_connectedness(model, below)
+
+
+@pytest.mark.parametrize(
+    "model, bits",
+    [
+        # rises by an ulp near the floor, so bisection must keep its exact path
+        (SimoMiso(57, PathLossParams(0.05, 2.0, 3)), "0x1.9388ccf55c659p+5"),
+        (Siso(P3), "0x1.506ada48f45b3p+2"),
+        (Mimo(2, 64, PathLossParams(1.0, 4.0, 3)), "0x1.bb9b83c18767ep+1"),
+        (Mimo(2, 2, P3), "0x1.792756f334ff0p+2"),  # the house sweep's link
+        (UnitDisk(1e300, P3), "0x1.7e43c8800759dp+996"),
+    ],
+    ids=["simo57", "siso", "mimo64-eta4", "mimo2", "disk1e300"],
+)
+def test_support_radius_keeps_its_bits(model, bits):
+    # McConfig's cutoff, and so every Monte Carlo draw, hangs on these doubles
+    assert support_radius(model).hex() == bits
+
+
+def test_support_bound_is_the_first_power_of_two_below_the_floor():
+    for model in (SimoMiso(57, PathLossParams(0.05, 2.0, 3)), Siso(P3), Mimo(2, 2, P3),
+                  UnitDisk(1.2, P3), UnitDisk(1e300, P3)):
+        bound = _support_bound(model)
+        assert math.frexp(bound)[0] == 0.5 and bound >= 1.0
+        assert pair_connectedness(model, bound) < 1e-12
+        assert bound == 1.0 or pair_connectedness(model, bound / 2.0) >= 1e-12
+        assert bound / 2.0 < support_radius(model) <= bound
 
 
 def test_support_radius_past_the_doubles_is_a_convergence_error():

@@ -113,6 +113,31 @@ def test_mass_that_is_no_finite_double_overflows():
     assert assemble(cube_prism(L), PathLossParams(1e-205, 2.0, 3), [1.0])[0].p_fc == 1.0
 
 
+def test_a_term_that_is_no_finite_double_names_its_class():
+    cube_corners = BoundaryFeature(3, 1.0, PI / 2, 8, PI / 2)
+    # g^3 and the corner factor are doubles at 1e103, 8 G / rho^2 is not
+    corner = feature_contribution(cube_corners, PathLossParams(1e103, 2.0, 3))
+    assert math.isfinite(corner.geometric_factor)
+    with pytest.raises(OverflowError, match="^corners: the term at rho = 0.5 is no finite double$"):
+        corner.term(0.5)
+    # rho^-2 passes the doubles at a tiny rho
+    with pytest.raises(OverflowError, match="^corners: the term at rho = 1e-300"):
+        feature_contribution(cube_corners, PARAMS).term(1e-300)
+    # at 6e103 the corner factor 64 g^3 is no double though g^3 is
+    with pytest.raises(OverflowError, match="^corners: the geometric factor overflows"):
+        feature_contribution(cube_corners, PathLossParams(6e103, 2.0, 3))
+    # two house corner terms that are doubles whose sum is not
+    with pytest.raises(OverflowError, match="^corners: the terms at rho = 0.5 sum past"):
+        assemble(house_prism(3.0), PathLossParams(4.7e102, 2.0, 3), [0.5])
+
+
+def test_a_term_whose_exponential_underflows_is_zero():
+    # rho * V passes the doubles while exp(-rho rate) is 0: the term is 0, not nan
+    (b,) = assemble(cube_prism(L), PARAMS, [1e308])
+    assert class_term_sums(b) == {"corners": 0.0, "edges": 0.0, "faces": 0.0, "bulk": 0.0}
+    assert (b.p_out, b.p_fc) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("rho", [0.5, 0.9, 1.4])
 def test_house_term_formulas(rho):
     ref = house_terms_reference(rho)
