@@ -52,7 +52,6 @@ from .pfc_analytic import (
     FeatureContribution,
     PfcBreakdown,
     assemble,
-    feature_table,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "enumerate_features",
     "error_order_fit",
     "exact_connectivity_probability",
-    "feature_table",
     "house_prism",
     "load_prism",
     "mass_quadrature",

@@ -302,19 +302,19 @@ def cmd_pfc(args) -> int:
         "p_fc_bulk", "p_fc_bulk_faces", "p_fc_bulk_faces_edges",
         "term_corners", "term_edges", "term_faces", "term_bulk",
     ]
+    breakdowns = pfc_analytic.assemble(prism, pl, params["rho"])
     rows = []
-    for b in pfc_analytic.assemble(prism, pl, params["rho"]):
-        sums = pfc_analytic.class_term_sums(b)
-        cumulative = pfc_analytic.cumulative_pfc(b)
+    for b in breakdowns:
+        terms = b.class_terms
+        # P_fc keeping the bulk only, then adding the faces, then the edges
+        running = itertools.accumulate((terms["bulk"], terms["faces"], terms["edges"]))
         rows.append(
-            [b.rho, b.p_fc, b.p_out, b.in_regime,
-             cumulative["bulk_only"], cumulative["bulk_faces"],
-             cumulative["bulk_faces_edges"],
-             sums["corners"], sums["edges"], sums["faces"], sums["bulk"]]
+            [b.rho, b.p_fc, b.p_out, b.in_regime, *(1.0 - s for s in running),
+             terms["corners"], terms["edges"], terms["faces"], terms["bulk"]]
         )
     _write_output(
         args, header, rows,
-        extra={"feature_table": pfc_analytic.feature_table(prism, pl)},
+        extra={"feature_table": [c.row() for c in breakdowns[0].contributions]},
     )
     _write_manifest(args, params)
     return EXIT_OK
@@ -325,7 +325,7 @@ def cmd_simulate(args) -> int:
     params = _resolve(args, required=("rho", "seed"))
     prism = _build_prism(params)
     pl = PathLossParams(params["beta"], params["eta"], 3)
-    model = Mimo(2, 2, pl)
+    model = pfc_analytic.link(pl)
     breakdowns = pfc_analytic.assemble(prism, pl, params["rho"])
     header = [
         "rho", "n_nodes", "trials", "p_fc_hat", "ci_low", "ci_high",

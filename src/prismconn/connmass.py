@@ -213,13 +213,19 @@ def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
 
     eps_minus integrates r^(d-1) (H(r) - 1) below the transition radius,
     eps_plus integrates r^(d-1) H(r) above it; their sum plus the step
-    value, `mass_scaling_leading`, reconstructs the exact mass.
+    value, `mass_scaling_leading`, reconstructs the exact mass.  A step
+    radius (n / beta)^(1/eta) past the doubles is refused before any
+    quadrature runs.
     """
     if n < 2:
         raise DomainError(f"step error requires n >= 2, got {n}")
     model = Mimo(2, n, params)
     d = params.dim
     transition = model.step_radius()
+    if not math.isfinite(transition):
+        raise DomainError(
+            f"step error: the step radius (n/beta)^(1/eta) of {model} overflows"
+        )
     eps_minus, _ = _quad(
         lambda r: r ** (d - 1) * (pair_connectedness_many(model, r) - 1.0), 0.0, transition
     )

@@ -293,14 +293,24 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
     return out
 
 
+def _r_eta_overflows(model: ConnectionModel, r: float) -> bool:
+    """beta * r^eta, which every H but the unit disk's reads, is past the doubles at r."""
+    return not isinstance(model, UnitDisk) and not math.isfinite(model.params.x(r))
+
+
+def _below_floor(model: ConnectionModel, r: float) -> bool:
+    """H(r) is below the floor, or beta * r^eta is past the doubles, where H is not read."""
+    return _r_eta_overflows(model, r) or pair_connectedness(model, r) < _LINK_PROB_FLOOR
+
+
 def _support_bound(model: ConnectionModel) -> float:
     """The first power of two, counting up from 1, at which H is below the floor.
 
-    A model whose H stays above the floor at every finite double raises
-    ConvergenceError.
+    A distance whose beta * r^eta overflows counts as below it.  A model whose
+    H stays above the floor at every finite double raises ConvergenceError.
     """
     hi = 1.0
-    while pair_connectedness(model, hi) >= _LINK_PROB_FLOOR:
+    while not _below_floor(model, hi):
         hi *= 2.0
         if hi == math.inf:
             raise ConvergenceError(f"H of {model} is above {_LINK_PROB_FLOOR} at every distance")
@@ -321,12 +331,12 @@ def support_radius(model: ConnectionModel) -> float:
     hi = _support_bound(model)
     lo, mid = 0.0, 0.5 * hi
     while lo < mid < hi:  # until lo and hi are adjacent doubles
-        if pair_connectedness(model, mid) < _LINK_PROB_FLOOR:
+        if _below_floor(model, mid):
             hi = mid
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
-    if not isinstance(model, UnitDisk) and not math.isfinite(model.params.x(hi)):
+    if _r_eta_overflows(model, hi):
         raise DomainError(f"beta * r^eta overflows before H of {model} falls below the floor")
     return hi
 

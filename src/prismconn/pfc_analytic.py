@@ -9,19 +9,21 @@ where M' = integral r^2 H dr is the homogeneous mass of connectivity of the
 link.  For an isotropic H the geometric factors follow from one more moment,
 J = integral r H dr: with g = 1 / (2 pi J), a face has G = g, an edge of
 opening angle theta 4 g^2 / sin(theta) and a corner 32 pi g^3 /
-(theta sin(theta)).  Both moments come from the 2x2 MIMO link's closed
-form, `Mimo(2, 2, params).moment(3)` and `.moment(2)`; the pipeline is
-validated for that link with free-space path loss (eta = 2) in three
-dimensions only.  The first-order expansion may go negative at low
-density; values are reported as-is with an out-of-regime flag rather than
-clamped.
+(theta sin(theta)).  The expansion is validated for one link only, the 2x2
+MIMO link with free-space path loss (eta = 2) in three dimensions, and
+`link` owns it: it refuses any other path loss and returns that link, whose
+closed-form `moment(3)` and `moment(2)` are M' and J, to the expansion and
+to any caller that simulates the network it describes.  `assemble`
+evaluates each feature's term once per density and keeps the per-class sums
+beside P_fc.  The first-order expansion may go negative at low density;
+values are reported as-is with an out-of-regime flag rather than clamped.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import CapabilityError, DomainError
 from .geometry import BoundaryFeature, RightPrism, enumerate_features
@@ -31,10 +33,8 @@ __all__ = [
     "FeatureContribution",
     "PfcBreakdown",
     "assemble",
-    "class_term_sums",
-    "cumulative_pfc",
     "feature_contribution",
-    "feature_table",
+    "link",
 ]
 
 _MIN_SCALE = 5.0  # derivations assume sqrt(beta) * feature length >> 1
@@ -42,24 +42,14 @@ _MIN_SCALE = 5.0  # derivations assume sqrt(beta) * feature length >> 1
 _CLASS_NAMES = {3: "corners", 2: "edges", 1: "faces", 0: "bulk"}
 
 
-def _require_supported(params: PathLossParams) -> None:
+def link(params: PathLossParams) -> Mimo:
+    """The 2x2 MIMO link the expansion is validated for, at eta = 2 in 3D only."""
     if params.eta != 2.0 or params.dim != 3:
         raise CapabilityError(
             "the per-feature expansion is validated for eta = 2 in three dimensions "
             f"only, got eta={params.eta}, dim={params.dim}"
         )
-
-
-def _check_rho(rho: float) -> None:
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"node density must be a positive finite real, got {rho}")
-
-
-def _moments(params: PathLossParams) -> tuple[float, float]:
-    """M' = integral r^2 H dr and g = 1 / (2 pi J), J = integral r H dr, of the link."""
-    _require_supported(params)
-    link = Mimo(2, 2, params)
-    return link.moment(3), 1.0 / (2.0 * math.pi * link.moment(2))
+    return Mimo(2, 2, params)
 
 
 @dataclass(frozen=True)
@@ -107,9 +97,22 @@ class FeatureContribution:
                 "is no finite double"
             ) from None
 
+    def row(self) -> dict:
+        """The feature's ledger row: its class and geometry, G and the rate."""
+        return {
+            "class": _CLASS_NAMES[self.feature.codim],
+            **asdict(self.feature),
+            "geometric_factor": self.geometric_factor,
+            "exponent_rate": self.exponent_rate,
+        }
 
-def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureContribution:
-    """One feature's term from the link's M' and g (see `_moments`)."""
+
+def feature_contribution(
+    feature: BoundaryFeature, params: PathLossParams
+) -> FeatureContribution:
+    """Geometric factor, exponent rate, and density power for one feature."""
+    model = link(params)
+    mass, g = model.moment(3), 1.0 / (2.0 * math.pi * model.moment(2))
     try:
         power = g**feature.codim
     except OverflowError:  # g^3, then g^2, passes the doubles at a huge beta
@@ -128,59 +131,28 @@ def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureCon
     return FeatureContribution(feature, factor, feature.solid_angle * mass, 1 - feature.codim)
 
 
-def feature_contribution(
-    feature: BoundaryFeature, params: PathLossParams
-) -> FeatureContribution:
-    """Geometric factor, exponent rate, and density power for one feature."""
-    return _contribution(feature, *_moments(params))
-
-
 @dataclass(frozen=True)
 class PfcBreakdown:
-    """Analytic P_fc at one density with its per-feature ledger."""
+    """Analytic P_fc at one density with its per-feature ledger and per-class sums."""
 
     rho: float
     contributions: tuple[FeatureContribution, ...]
     p_fc: float
     p_out: float
     in_regime: bool
-
-
-def class_term_sums(breakdown: PfcBreakdown) -> dict[str, float]:
-    """Evaluated terms summed per feature class (corners/edges/faces/bulk)."""
-    sums = {name: 0.0 for name in _CLASS_NAMES.values()}
-    for contrib in breakdown.contributions:
-        sums[_CLASS_NAMES[contrib.feature.codim]] += contrib.term(breakdown.rho)
-    return sums
-
-
-def cumulative_pfc(breakdown: PfcBreakdown) -> dict[str, float]:
-    """P_fc keeping bulk only, then adding faces, edges, and corners."""
-    sums = class_term_sums(breakdown)
-    running = 0.0
-    out = {}
-    for label, name in (
-        ("bulk_only", "bulk"),
-        ("bulk_faces", "faces"),
-        ("bulk_faces_edges", "edges"),
-        ("full", "corners"),
-    ):
-        running += sums[name]
-        out[label] = 1.0 - running
-    return out
+    class_terms: dict[str, float]
 
 
 def assemble(
     prism: RightPrism, params: PathLossParams, rho_grid
 ) -> list[PfcBreakdown]:
-    """Evaluate the per-feature expansion of P_fc over a density grid."""
-    _require_supported(params)
+    """Evaluate the per-feature expansion of P_fc, each term once, over a density grid."""
+    link(params)  # an unsupported path loss is refused before any density
     rhos = [float(r) for r in rho_grid]
     for rho in rhos:
-        _check_rho(rho)
-    # first, so a mass that overflows is the one line a caller sees
-    moments = _moments(params)
-    contributions = tuple(_contribution(f, *moments) for f in enumerate_features(prism))
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise DomainError(f"node density must be a positive finite real, got {rho}")
+    contributions = tuple(feature_contribution(f, params) for f in enumerate_features(prism))
     # The regime flag keys on the characteristic scale; the stricter
     # shortest-edge check only warns, since single marginal edges degrade
     # their own term, not the whole expansion.
@@ -194,36 +166,21 @@ def assemble(
         )
     results = []
     for rho in rhos:
-        p_out = sum(c.term(rho) for c in contributions)
+        terms = [c.term(rho) for c in contributions]
+        p_out = sum(terms)
         if math.isinf(p_out):  # finite terms whose sum is not
-            top = max(contributions, key=lambda c: c.term(rho))
+            top = contributions[terms.index(max(terms))]
             raise OverflowError(
                 f"{_CLASS_NAMES[top.feature.codim]}: the terms at rho = {rho:.6g} "
                 "sum past the doubles"
             )
+        class_terms = dict.fromkeys(_CLASS_NAMES.values(), 0.0)
+        for c, t in zip(contributions, terms):
+            class_terms[_CLASS_NAMES[c.feature.codim]] += t
         p_fc = 1.0 - p_out
         results.append(
-            PfcBreakdown(rho, contributions, p_fc, p_out, scale_ok and p_fc >= 0.0)
+            PfcBreakdown(
+                rho, contributions, p_fc, p_out, scale_ok and p_fc >= 0.0, class_terms
+            )
         )
     return results
-
-
-def feature_table(prism: RightPrism, params: PathLossParams) -> list[dict]:
-    """Per-feature (measure, solid angle, geometric factor) ledger rows."""
-    moments = _moments(params)
-    rows = []
-    for f in enumerate_features(prism):
-        contrib = _contribution(f, *moments)
-        rows.append(
-            {
-                "class": _CLASS_NAMES[f.codim],
-                "codim": f.codim,
-                "multiplicity": f.multiplicity,
-                "angle": f.angle,
-                "measure": f.measure,
-                "solid_angle": f.solid_angle,
-                "geometric_factor": contrib.geometric_factor,
-                "exponent_rate": contrib.exponent_rate,
-            }
-        )
-    return rows

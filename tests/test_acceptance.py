@@ -41,7 +41,7 @@ from prismconn.mc_sim import (
     run_trials,
     wilson_interval,
 )
-from prismconn.pfc_analytic import assemble, feature_contribution, feature_table
+from prismconn.pfc_analytic import assemble, feature_contribution
 from prismconn.validation import (
     bfs_component_count,
     brute_force_connectivity_probability,
@@ -198,7 +198,7 @@ def test_criterion_5_house_terms():
     table = {
         (row["class"], None if row["angle"] is None else round(row["angle"], 9),
          round(row["measure"], 9)): row
-        for row in feature_table(house_prism(L), params)
+        for row in (c.row() for c in assemble(house_prism(L), params, [1.0])[0].contributions)
     }
     expected_triples = {
         ("corners", round(PI / 2, 9), 1.0): (PI / 2, 256.0 / (343.0 * PI**2 * (PI / 2)), 6),

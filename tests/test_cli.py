@@ -1,6 +1,7 @@
 """CLI behavior: schemas, exit codes, manifests, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prismconn
+from prismconn import pfc_analytic
 from prismconn.cli import (
     _FIELD_SLAB_POINTS,
     _PARAMS,
@@ -28,7 +30,7 @@ from prismconn.cli import (
     main,
 )
 from prismconn.errors import DomainError
-from prismconn.geometry import house_prism, sample_uniform_rng
+from prismconn.geometry import enumerate_features, house_prism, sample_uniform_rng
 from prismconn.linkmodels import Mimo, PathLossParams, Siso, UnitDisk
 from prismconn.mc_sim import connection_field
 from prismconn.validation import CHECK_NAMES, run_checks
@@ -126,6 +128,49 @@ def test_pfc_json_has_feature_table(tmp_path):
     assert classes == {"corners", "edges", "faces", "bulk"}
     assert sum(r["multiplicity"] for r in table if r["class"] == "corners") == 10
     assert sum(r["multiplicity"] for r in table if r["class"] == "edges") == 15
+
+
+# sha256 of the output bytes, pinned before the per-class sums moved into
+# `assemble` (x86_64 Linux, CPython 3.11.7, numpy 2.4.6): the ledger's
+# columns and table keep every bit.
+PFC_HOUSE = ["pfc", "--prism", "house", "--L", "7", "--rho", "0.1:1.2:0.02"]
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("csv", "f6d98f26f69a39a65bf912d40bf8eb91a5052fce1452a600a4e4fd6e790f5165"),
+     ("json", "f34b40a2ba0504d36dd61cf13e71550774501f3153090ad360b444a6d5797e5c")],
+)
+def test_pfc_house_output_keeps_its_bytes(fmt, digest, capsys):
+    assert run_cli([*PFC_HOUSE, "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_simulate_analytic_column_keeps_its_bytes(tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--rho", "0.5,0.8", "--trials", "50", "--seed", "4",
+            "--output", str(out)]
+    assert run_cli(argv) == 0
+    header, rows = read_csv(out)
+    column = "\n".join(row[header.index("p_fc_analytic")] for row in rows)
+    assert hashlib.sha256(column.encode()).hexdigest() == (
+        "5bc2f705bfadbefb7dacd9aea9c5f705b92f1576ed1e5c96305bb5fbcba10190"
+    )
+
+
+def test_pfc_evaluates_each_term_once_per_density(monkeypatch, capsys):
+    calls = []
+    term = pfc_analytic.FeatureContribution.term
+
+    def counted(self, rho):
+        calls.append(rho)
+        return term(self, rho)
+
+    monkeypatch.setattr(pfc_analytic.FeatureContribution, "term", counted)
+    assert run_cli(PFC_HOUSE) == 0
+    densities = len(capsys.readouterr().out.splitlines()) - 1
+    assert densities == 56
+    assert len(calls) == len(enumerate_features(house_prism(7.0))) * densities
 
 
 def test_pfc_capability_exit_code(tmp_path):
@@ -269,7 +314,8 @@ def test_corner_term_overflow_names_the_class(beta, tmp_path, capsys):
 def test_mass_where_r_to_the_eta_overflows_is_refused(model, m, tmp_path, capsys):
     # H reads 0 once r^eta overflows, long before the true H meets the floor:
     # integrated up to there, SISO's quadrature would be 2.738e230 against
-    # the closed form's 3.064e230
+    # the closed form's 3.064e230.  Every fading model gets the overflow line,
+    # not its special function's refusal of x = inf.
     out = tmp_path / "mass.csv"
     argv = ["mass", "--model", model, "--m", m, "--eta", "4", "--beta", "1e-308",
             "--output", str(out)]
@@ -277,7 +323,7 @@ def test_mass_where_r_to_the_eta_overflows_is_refused(model, m, tmp_path, capsys
         assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error: ")
-    assert "beta * r^eta overflows before H" in err or "x=inf" in err
+    assert "beta * r^eta overflows before H" in err
     assert not out.exists()
 
 

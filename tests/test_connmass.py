@@ -296,6 +296,31 @@ def test_step_error_signs_and_reconciliation():
         )
 
 
+@pytest.mark.parametrize(
+    "model",
+    [SimoMiso(3, PathLossParams(1e-306, 4.0, 3)), Mimo(2, 2, PathLossParams(1e-306, 4.0, 2))],
+    ids=["simo3", "mimo"],
+)
+def test_mass_where_h_meets_the_floor_before_r_to_the_eta_overflows(model):
+    # integrated up to `support_radius`, where beta * r^eta is still a double
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value = mass_quadrature(model).value
+    assert value == pytest.approx(model.moment(model.params.dim), rel=1e-12)
+
+
+def test_step_error_refuses_a_step_radius_past_the_doubles(monkeypatch):
+    # 2 / 1e-308 is past the doubles, so (n / beta)^(1/eta) is inf: refused
+    # by name before any quadrature runs or numpy warns
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(connmass, "_quad", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^step error: the step radius .* overflows$"):
+            step_error(2, PathLossParams(1e-308, 4.0, 3))
+
+
 def test_error_order_fit():
     slope = error_order_fit([8, 16, 32, 64], PathLossParams(1.0, 2.0, 3))
     assert slope == pytest.approx(1.0, abs=0.2)

@@ -392,8 +392,28 @@ def test_support_radius_past_the_doubles_is_a_convergence_error():
 )
 def test_support_radius_where_r_to_the_eta_overflows_is_a_domain_error(model):
     # H reads 0 once r^eta overflows, so a radius found there (1.34e154 for
-    # SISO) is not where the true H, exp(-1.8) at 1.34e154, meets the floor
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
+    # SISO) is not where the true H, exp(-1.8) at 1.34e154, meets the floor;
+    # every fading model is refused with the same line
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+        DomainError, match=r"^beta \* r\^eta overflows before H of "
+    ):
         support_radius(model)
     # a unit disk never reads beta * r^eta
     assert support_radius(UnitDisk(1e200, P3)) == np.nextafter(1e200, math.inf)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SimoMiso(3, PathLossParams(1e-306, 4.0, 3)), Mimo(2, 2, PathLossParams(1e-306, 4.0, 3)),
+     SimoMiso(64, PathLossParams(1e-306, 2.0, 3))],
+    ids=["simo3", "mimo", "simo64"],
+)
+def test_support_radius_where_h_meets_the_floor_before_r_to_the_eta_overflows(model):
+    # _support_bound's power of two is past the overflow, but H meets the
+    # floor below it: the radius is H's own, where beta * r^eta is a double
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        radius = support_radius(model)
+        assert math.isinf(model.params.x(_support_bound(model)))
+    below = np.nextafter(radius, 0.0)
+    assert math.isfinite(model.params.x(radius))
+    assert pair_connectedness(model, radius) < 1e-12 <= pair_connectedness(model, below)

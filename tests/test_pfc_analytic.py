@@ -1,22 +1,18 @@
 """Analytic per-feature connectivity terms and their assembly for the house."""
 
+import csv
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from prismconn.cli import main
 from prismconn.connmass import mass_quadrature
 from prismconn.errors import CapabilityError, DomainError
 from prismconn.geometry import BoundaryFeature, cube_prism, house_prism
 from prismconn.linkmodels import Mimo, PathLossParams, _mimo_moment
-from prismconn.pfc_analytic import (
-    assemble,
-    class_term_sums,
-    cumulative_pfc,
-    feature_contribution,
-    feature_table,
-)
+from prismconn.pfc_analytic import assemble, feature_contribution
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -134,7 +130,7 @@ def test_a_term_that_is_no_finite_double_names_its_class():
 def test_a_term_whose_exponential_underflows_is_zero():
     # rho * V passes the doubles while exp(-rho rate) is 0: the term is 0, not nan
     (b,) = assemble(cube_prism(L), PARAMS, [1e308])
-    assert class_term_sums(b) == {"corners": 0.0, "edges": 0.0, "faces": 0.0, "bulk": 0.0}
+    assert b.class_terms == {"corners": 0.0, "edges": 0.0, "faces": 0.0, "bulk": 0.0}
     assert (b.p_out, b.p_fc) == (0.0, 1.0)
 
 
@@ -163,7 +159,7 @@ def test_assemble_equals_named_terms():
         ref = house_terms_reference(rho)
         assert b.p_out == pytest.approx(rho * sum(ref.values()), rel=1e-12)
         assert b.p_fc == pytest.approx(1.0 - rho * sum(ref.values()), rel=1e-12)
-        sums = class_term_sums(b)
+        sums = b.class_terms
         assert sums["corners"] == pytest.approx(rho * (ref["C1"] + ref["C2"]), rel=1e-12)
         assert sums["edges"] == pytest.approx(rho * (ref["E1"] + ref["E2"]), rel=1e-12)
         assert sums["faces"] == pytest.approx(rho * ref["F"], rel=1e-12)
@@ -210,7 +206,7 @@ def test_density_power_structure():
 
 def test_corner_terms_dominate_at_high_density():
     breakdown = assemble(house_prism(L), PARAMS, [3.0])[0]
-    sums = class_term_sums(breakdown)
+    sums = breakdown.class_terms
     assert sums["corners"] > sums["edges"] > sums["faces"] > sums["bulk"]
 
 
@@ -266,7 +262,7 @@ def test_capability_errors():
 
 
 def test_feature_table_house():
-    rows = feature_table(house_prism(L), PARAMS)
+    rows = [c.row() for c in assemble(house_prism(L), PARAMS, [1.0])[0].contributions]
     by_key = {(r["class"], r["angle"] and round(r["angle"], 9)): r for r in rows}
     corner = by_key[("corners", round(PI / 2, 9))]
     assert corner["multiplicity"] == 6
@@ -284,13 +280,19 @@ def test_feature_table_house():
     assert by_key[("bulk", None)]["geometric_factor"] == 1.0
 
 
-def test_cumulative_approximations_ordering():
-    breakdown = assemble(house_prism(L), PARAMS, [0.8])[0]
-    cumulative = cumulative_pfc(breakdown)
+def test_cumulative_approximations_ordering(tmp_path):
+    out = tmp_path / "pfc.csv"
+    argv = ["pfc", "--prism", "house", "--L", "7", "--beta", "1", "--eta", "2",
+            "--rho", "0.8", "--output", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    cumulative = {key: float(value) for key, value in row.items() if key != "in_regime"}
+    full = 1.0 - sum(cumulative[f"term_{name}"] for name in ("bulk", "faces", "edges", "corners"))
     assert (
-        cumulative["bulk_only"]
-        >= cumulative["bulk_faces"]
-        >= cumulative["bulk_faces_edges"]
-        >= cumulative["full"]
+        cumulative["p_fc_bulk"]
+        >= cumulative["p_fc_bulk_faces"]
+        >= cumulative["p_fc_bulk_faces_edges"]
+        >= cumulative["p_fc"]
     )
-    assert cumulative["full"] == pytest.approx(breakdown.p_fc, rel=1e-12)
+    assert full == pytest.approx(cumulative["p_fc"], rel=1e-12)
