@@ -282,7 +282,7 @@ def cmd_mass(args) -> int:
             model = _link_model(kind, k, None, pl)
             closed = model.moment(d)
             quad = connmass.mass_quadrature(model)
-            leading = connmass.mass_scaling_leading(model)
+            leading = connmass.mass_scaling_leading(k, pl)
             rows.append(
                 [kind, k, d, eta, beta, closed, quad.value,
                  quad.est_abs_error, leading, closed / leading - 1.0]

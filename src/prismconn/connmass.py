@@ -18,18 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .linkmodels import (
     ConnectionModel,
     Mimo,
     PathLossParams,
-    SimoMiso,
     _beta_scale,
     _finite_mass,
-    _support_bound,
+    _upper_limit,
     pair_connectedness,  # noqa: F401  unused; perfbench's tracer test wraps it here
     pair_connectedness_many,
-    support_radius,
 )
 
 __all__ = [
@@ -93,7 +91,9 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
     """Kronrod values and QUADPACK error estimates of panels [a, b].
 
     All 21 nodes of every panel go to f in one array; a scalar f value is
-    taken as constant.
+    taken as constant.  A panel's sums stay below 800 max|f| max(1, half), and
+    `_quad`'s over at most `_QUAD_LIMIT` panels below 4 `_QUAD_LIMIT` max|f| half:
+    where the larger bound passes the doubles, the integral is refused.
     """
     half = 0.5 * (b - a)
     r = ((a + half)[:, None] + half[:, None] * _GK_NODES).ravel()
@@ -101,9 +101,14 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
     if fx.shape != r.shape:
         fx = np.broadcast_to(fx, r.shape)
     fx = fx.reshape(a.size, -1)
-    resabs = (np.abs(fx) @ _GK_WK) * half
-    if not math.isfinite(resabs.sum()):
+    abs_fx = np.abs(fx)
+    peak = float(abs_fx.max())
+    if not math.isfinite(peak):
         raise ConvergenceError("quadrature integrand is not finite on its nodes")
+    # Python floats, unlike numpy's, overflow to inf without a warning.
+    if 4.0 * _QUAD_LIMIT * peak * max(1.0, float(half.max())) == math.inf:
+        raise OverflowError(f"quadrature: the integral passes the doubles (max |f| {peak:.3e})")
+    resabs = (abs_fx @ _GK_WK) * half
     kronrod = fx @ _GK_WK
     # QUADPACK's estimate resasc min(1, (200 |K - G| / resasc)^1.5), with
     # resasc the integral of |f - mean f| (0 where f is constant, with no
@@ -165,21 +170,6 @@ def _quad(
     return value, abs_err
 
 
-def _upper_limit(model: ConnectionModel) -> float:
-    """Where the mass integrals stop: past it H is below the link-probability floor.
-
-    This is `_support_bound`'s power of two, found in a few scalar H calls
-    where `support_radius` bisects on with about 50 more.  Where beta * r^eta
-    overflows at that bound, H there reads 0 whatever its true value, so the
-    limit is `support_radius` instead, which refuses such a model with a
-    DomainError or returns a radius where beta * r^eta is still a double.
-    """
-    bound = _support_bound(model)
-    with np.errstate(over="ignore"):
-        overflows = not math.isfinite(model.params.x(bound))
-    return support_radius(model) if overflows else bound
-
-
 def mass_quadrature(model: ConnectionModel) -> MassResult:
     """M' by adaptive quadrature of the defining radial integral.
 
@@ -196,15 +186,10 @@ def mass_quadrature(model: ConnectionModel) -> MassResult:
     return MassResult(value, abs_err)
 
 
-def mass_scaling_leading(model: ConnectionModel) -> float:
-    """Step-function M' = k^(d/eta) / (beta^(d/eta) d), the leading order for diversity k."""
-    if not isinstance(model, (SimoMiso, Mimo)):
-        raise CapabilityError(
-            f"leading-order scaling applies to SimoMiso/Mimo, not {type(model).__name__}"
-        )
-    p = model.params
-    nu = p.dim / p.eta
-    value = model.diversity**nu / (_beta_scale(p, p.dim, "mass_scaling_leading") * p.dim)
+def mass_scaling_leading(k: int, params: PathLossParams) -> float:
+    """Step-function M' = k^(d/eta) / (beta^(d/eta) d), leading order for diversity k (m or n)."""
+    nu = params.dim / params.eta
+    value = k**nu / (_beta_scale(params, params.dim, "mass_scaling_leading") * params.dim)
     return _finite_mass(value, "mass_scaling_leading")
 
 

@@ -72,10 +72,6 @@ class RightPrism:
             raise InvalidPrismError("base must wind exactly once, not trace a star")
 
     @property
-    def n_sides(self) -> int:
-        return len(self.base_vertices)
-
-    @property
     def base_area(self) -> float:
         verts = self.base_vertices
         acc = 0.0

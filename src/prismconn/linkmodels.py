@@ -88,10 +88,6 @@ class SimoMiso:
         if self.m < 1:
             raise DomainError(f"diversity order m must be >= 1, got {self.m}")
 
-    @property
-    def diversity(self) -> int:
-        return self.m
-
     def step_radius(self) -> float:
         """(m / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
         return (self.m / self.params.beta) ** (1.0 / self.params.eta)
@@ -99,6 +95,9 @@ class SimoMiso:
     def h(self, r):
         x = self.params.x(r)
         if self.m == 1:
+            # exp(-inf) reads 0 whatever H is there; the gammas of m > 1 refuse it too.
+            if (x.max(initial=0.0) if isinstance(x, np.ndarray) else x) == math.inf:
+                raise DomainError(f"SISO H: beta * r^eta is past the doubles for {self}")
             return np.exp(-x)
         return specfun.regularized_upper_gamma(self.m, x)
 
@@ -133,8 +132,6 @@ class Mimo:
     @property
     def n(self) -> int:
         return max(self.n_t, self.n_r)
-
-    diversity = n
 
     def step_radius(self) -> float:
         """(n / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
@@ -294,8 +291,15 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
 
 
 def _r_eta_overflows(model: ConnectionModel, r: float) -> bool:
-    """beta * r^eta, which every H but the unit disk's reads, is past the doubles at r."""
-    return not isinstance(model, UnitDisk) and not math.isfinite(model.params.x(r))
+    """beta * r^eta, which every H but the unit disk's reads, is past the doubles at r.
+
+    On Python floats, whose `**` raises where np.power warns and returns inf.
+    """
+    p = model.params
+    try:
+        return not isinstance(model, UnitDisk) and p.beta * r**p.eta == math.inf
+    except OverflowError:
+        return True
 
 
 def _below_floor(model: ConnectionModel, r: float) -> bool:
@@ -339,6 +343,17 @@ def support_radius(model: ConnectionModel) -> float:
     if _r_eta_overflows(model, hi):
         raise DomainError(f"beta * r^eta overflows before H of {model} falls below the floor")
     return hi
+
+
+def _upper_limit(model: ConnectionModel) -> float:
+    """Where the mass integrals stop: past it H is below the link-probability floor.
+
+    `_support_bound`'s power of two, a few scalar H calls where `support_radius`
+    bisects on with about 50 more; `support_radius` itself where beta * r^eta
+    overflows at that bound, which refuses the model or stops short of it.
+    """
+    bound = _support_bound(model)
+    return support_radius(model) if _r_eta_overflows(model, bound) else bound
 
 
 def pair_connectedness_mimo_det(

@@ -169,8 +169,8 @@ def _check_scaling_slopes() -> CheckResult:
     ks = [4, 8, 16, 32, 64]
     slopes = {
         name: connmass.loglog_slope(ks, [
-            abs(model.moment(3) / connmass.mass_scaling_leading(model) - 1.0)
-            for model in (link(k, params) for k in ks)
+            abs(link(k, params).moment(3) / connmass.mass_scaling_leading(k, params) - 1.0)
+            for k in ks
         ])
         for name, link, _ in _FAMILIES
     }

@@ -126,14 +126,14 @@ def test_criterion_4_scaling_orders(tmp_path):
     simo_slope = loglog_slope(
         ks,
         [
-            abs(SimoMiso(m, params).moment(3) / mass_scaling_leading(SimoMiso(m, params)) - 1)
+            abs(SimoMiso(m, params).moment(3) / mass_scaling_leading(m, params) - 1)
             for m in ks
         ],
     )
     mimo_slope = loglog_slope(
         ks,
         [
-            abs(Mimo(2, n, params).moment(3) / mass_scaling_leading(Mimo(2, n, params)) - 1)
+            abs(Mimo(2, n, params).moment(3) / mass_scaling_leading(n, params) - 1)
             for n in ks
         ],
     )

@@ -310,17 +310,17 @@ def test_corner_term_overflow_names_the_class(beta, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model, m", [("siso", "1"), ("simo", "3"), ("mimo", "2")])
 def test_mass_where_r_to_the_eta_overflows_is_refused(model, m, tmp_path, capsys):
     # H reads 0 once r^eta overflows, long before the true H meets the floor:
     # integrated up to there, SISO's quadrature would be 2.738e230 against
     # the closed form's 3.064e230.  Every fading model gets the overflow line,
-    # not its special function's refusal of x = inf.
+    # not its special function's refusal of x = inf, and no numpy warning.
     out = tmp_path / "mass.csv"
     argv = ["mass", "--model", model, "--m", m, "--eta", "4", "--beta", "1e-308",
             "--output", str(out)]
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert run_cli(argv) == 2
+    assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error: ")
     assert "beta * r^eta overflows before H" in err
@@ -981,6 +981,11 @@ def test_field_grid_cap_comes_before_any_draw(monkeypatch, capsys):
         ["--square", "1e160", "--rho", "1e-320"],
         # finite distances, but beta r^2 overflows in MIMO H at the far corner
         ["--square", "1e150", "--rho", "1e-300", "--model", "mimo", "--beta", "1e10"],
+        # the same in SISO H, whose exp(-inf) would read 0
+        ["--square", "1e150", "--rho", "1e-300", "--model", "siso", "--beta", "1e10"],
+        # r^4 overflows though beta r^4 would be about 1: H is not 0 there
+        ["--square", "1e78", "--rho", "1e-154", "--model", "siso", "--eta", "4",
+         "--beta", "1e-310"],
     ],
 )
 def test_field_refuses_an_unusable_distance_before_writing(argv, tmp_path, capsys):

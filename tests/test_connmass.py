@@ -104,15 +104,17 @@ def test_quadrature_stops_short_of_where_r_to_the_eta_overflows(beta):
     # double at the support radius, so the integral stops there
     model = Siso(PathLossParams(beta, 4.0, 3))
     with np.errstate(over="ignore"):
-        assert not math.isfinite(model.params.x(connmass._support_bound(model)))
+        assert not math.isfinite(model.params.x(linkmodels._support_bound(model)))
     assert mass_quadrature(model).value == pytest.approx(model.moment(3), rel=1e-11)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", [Siso, lambda p: SimoMiso(3, p), lambda p: Mimo(2, 2, p)],
                          ids=["siso", "simo3", "mimo"])
 def test_quadrature_where_r_to_the_eta_overflows_is_a_domain_error(model):
+    # refused with no numpy warning on the way
     link = model(PathLossParams(1e-308, 4.0, 3))
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         mass_quadrature(link)
 
 
@@ -181,8 +183,8 @@ def test_quadrature_tracks_the_closed_form_at_a_tiny_beta(m):
         lambda p: _mimo_moment(2, p, p.dim),
         lambda p: Mimo(2, 3, p).moment(p.dim),
         lambda p: Mimo(2, 2, p).moment(p.dim),
-        lambda p: mass_scaling_leading(SimoMiso(3, p)),
-        lambda p: mass_scaling_leading(Mimo(2, 4, p)),
+        lambda p: mass_scaling_leading(3, p),
+        lambda p: mass_scaling_leading(4, p),
     ],
     ids=["simo1", "simo2", "mimo2", "mimo3", "mimo_n2", "leading_simo3", "leading_mimo4"],
 )
@@ -211,7 +213,7 @@ def test_closed_masses_keep_their_bits():
                     math.exp(log_gamma(m + nu) - log_gamma(m))
                     / (beta**nu * d)
                 )
-                assert mass_scaling_leading(SimoMiso(m, p)) == m**nu / (beta**nu * d)
+                assert mass_scaling_leading(m, p) == m**nu / (beta**nu * d)
             assert Mimo(2, 2, p).moment(d) == (
                 (nu * nu + nu + 2.0 - 2.0 ** (-nu))
                 * math.exp(log_gamma(nu))
@@ -220,20 +222,12 @@ def test_closed_masses_keep_their_bits():
 
 
 def test_scaling_leading_values():
-    assert mass_scaling_leading(SimoMiso(1, PathLossParams(1.0, 2.0, 2))) == (
+    assert mass_scaling_leading(1, PathLossParams(1.0, 2.0, 2)) == (
         pytest.approx(0.5, rel=1e-14)
     )
-    assert mass_scaling_leading(Mimo(2, 4, PathLossParams(1.0, 2.0, 3))) == (
+    assert mass_scaling_leading(4, PathLossParams(1.0, 2.0, 3)) == (
         pytest.approx(8.0 / 3.0, rel=1e-14)
     )
-    with pytest.raises(CapabilityError):
-        mass_scaling_leading(UnitDisk(1.0, PathLossParams(1.0, 2.0, 3)))
-
-
-@pytest.mark.parametrize("d, eta", [(1, 2.0), (2, 2.0), (3, 2.0), (3, 4.0)])
-def test_siso_has_the_leading_order_of_one_branch(d, eta):
-    params = PathLossParams(0.7, eta, d)
-    assert mass_scaling_leading(Siso(params)) == mass_scaling_leading(SimoMiso(1, params))
 
 
 def test_leading_order_convergence_monotone():
@@ -241,7 +235,7 @@ def test_leading_order_convergence_monotone():
     gaps = [
         abs(
             SimoMiso(m, params).moment(params.dim)
-            / mass_scaling_leading(SimoMiso(m, params))
+            / mass_scaling_leading(m, params)
             - 1.0
         )
         for m in (8, 16)
@@ -253,12 +247,12 @@ def test_simo_and_mimo_scaling_orders():
     params = PathLossParams(1.0, 2.0, 3)
     ms = [4, 8, 16, 32, 64]
     simo_gap = [
-        abs(SimoMiso(m, params).moment(params.dim) / mass_scaling_leading(SimoMiso(m, params)) - 1)
+        abs(SimoMiso(m, params).moment(params.dim) / mass_scaling_leading(m, params) - 1)
         for m in ms
     ]
     assert loglog_slope(ms, simo_gap) == pytest.approx(-1.0, abs=0.15)
     mimo_gap = [
-        abs(Mimo(2, n, params).moment(params.dim) / mass_scaling_leading(Mimo(2, n, params)) - 1)
+        abs(Mimo(2, n, params).moment(params.dim) / mass_scaling_leading(n, params) - 1)
         for n in ms
     ]
     assert loglog_slope(ms, mimo_gap) == pytest.approx(-0.5, abs=0.15)
@@ -268,7 +262,7 @@ def test_step_approx_values():
     params = PathLossParams(1.0, 2.0, 3)
 
     def step(n):
-        return mass_scaling_leading(Mimo(2, n, params))
+        return mass_scaling_leading(n, params)
 
     assert step(2) == pytest.approx(2.0**1.5 / 3.0, rel=1e-14)
     assert step(8) == pytest.approx(8.0**1.5 / 3.0, rel=1e-14)
@@ -284,27 +278,28 @@ def test_step_error_signs_and_reconciliation():
     assert eps_plus >= 0.0
     assert eps_minus == pytest.approx(-0.07181606351355035, rel=1e-8)
     assert eps_plus == pytest.approx(1.5202451654437237, rel=1e-8)
-    total = mass_scaling_leading(Mimo(2, 2, params)) + eps_minus + eps_plus
+    total = mass_scaling_leading(2, params) + eps_minus + eps_plus
     exact = mass_quadrature(Mimo(2, 2, params)).value
     assert total == pytest.approx(exact, rel=1e-8)
     for n, d, eta in ((32, 2, 2.0), (8, 3, 4.0)):
         p = PathLossParams(1.0, eta, d)
         em, ep = step_error(n, p)
         assert em <= 0.0 <= ep
-        assert mass_scaling_leading(Mimo(2, n, p)) + em + ep == pytest.approx(
+        assert mass_scaling_leading(n, p) + em + ep == pytest.approx(
             mass_quadrature(Mimo(2, n, p)).value, rel=1e-8
         )
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "model",
     [SimoMiso(3, PathLossParams(1e-306, 4.0, 3)), Mimo(2, 2, PathLossParams(1e-306, 4.0, 2))],
     ids=["simo3", "mimo"],
 )
 def test_mass_where_h_meets_the_floor_before_r_to_the_eta_overflows(model):
-    # integrated up to `support_radius`, where beta * r^eta is still a double
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        value = mass_quadrature(model).value
+    # integrated up to `support_radius`, where beta * r^eta is still a double;
+    # probing the overflow on the way warns nothing
+    value = mass_quadrature(model).value
     assert value == pytest.approx(model.moment(model.params.dim), rel=1e-12)
 
 
@@ -370,7 +365,7 @@ def test_quad_matches_scipy_quad_on_mass_integrands():
             models = [SimoMiso(m, params) for m in (1, 3, 16, 64)]
             models += [Mimo(2, n, params) for n in (2, 5, 16, 64)]
             for model in models:
-                transition = (model.diversity / params.beta) ** (1.0 / eta)
+                transition = model.step_radius()
                 radius = support_radius(model)
                 # the mass integrand, then the two halves of the step error
                 cases = [
@@ -417,6 +412,45 @@ def test_quad_raises_on_non_finite_values(f):
     with pytest.raises(ConvergenceError):
         _quad(counting, 0.0, 1.0)
     assert len(calls) == 1  # raised at once, not after refining to the cap
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "f, hi",
+    [
+        # every value is a double, their integral over [0, 1e10] is not
+        (lambda r: np.full_like(r, 1e300), 1e10),
+        # the integral is small, but 200 |K - G| half, the error estimate, is not
+        (lambda r: 1.7e307 * np.cos(1e4 * r), 1.0),
+    ],
+    ids=["integral", "error-estimate"],
+)
+def test_quad_refuses_an_integral_past_the_doubles_at_once(f, hi):
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return f(r)
+
+    with pytest.raises(OverflowError, match="the integral passes the doubles"):
+        _quad(counting, 0.0, hi)
+    assert len(calls) == 1
+
+
+def test_quad_takes_an_integral_of_huge_values():
+    assert _quad(lambda r: np.full_like(r, 1e300), 0.0, 1.0)[0] == pytest.approx(1e300, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "model",
+    [SimoMiso(3, PathLossParams(10**-306.5, 2.0, 3)), UnitDisk(1e155, PathLossParams(1.0, 2.0, 2))],
+    ids=["simo3", "unitdisk"],
+)
+def test_mass_past_the_doubles_is_an_overflow_error(model):
+    # H and r^(d-1) H are doubles on every node; M' (about 1.1e460 and 5e309) is not
+    with pytest.raises(OverflowError, match="the integral passes the doubles"):
+        mass_quadrature(model)
 
 
 def test_quad_stops_at_300_subintervals():

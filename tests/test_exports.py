@@ -86,3 +86,22 @@ def test_every_public_name_has_a_caller_in_src_or_perfbench():
         f"{module}:{name}" for module, name in exported if name not in used | KEPT_ORACLES
     )
     assert unused == []
+
+
+LINK_MODELS = {"SimoMiso", "Mimo", "UnitDisk"}
+
+
+def test_only_linkmodels_asks_a_link_model_its_type():
+    # Model dispatch uses the models' own methods; what a link is, and what
+    # it can answer, is decided in `linkmodels` alone.
+    calls = []
+    for module, tree in _trees(SRC).items():
+        if module == "linkmodels.py":
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+                continue
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[-1])}
+            if names & LINK_MODELS:
+                calls.append(f"{module}:{node.lineno}")
+    assert calls == []

@@ -40,7 +40,7 @@ def test_house_derived_quantities():
     assert house.volume == pytest.approx(428.75, rel=1e-14)
     assert house.surface_area == pytest.approx((11 + 2 * SQRT2) / 2 * 49, rel=1e-13)
     assert house.base_area == pytest.approx(1.25 * 49, rel=1e-14)
-    assert house.n_sides == 5
+    assert len(house.base_vertices) == 5
 
 
 def test_house_feature_census():
@@ -121,10 +121,10 @@ def test_interior_angle_sum():
     for _ in range(25):
         prism = random_convex_prism(rng)
         total = sum(prism.interior_angles)
-        assert total == pytest.approx((prism.n_sides - 2) * math.pi, abs=1e-12)
+        assert total == pytest.approx((len(prism.base_vertices) - 2) * math.pi, abs=1e-12)
         census = feature_census(enumerate_features(prism))
-        assert census[3] == 2 * prism.n_sides
-        assert census[2] == 3 * prism.n_sides
+        assert census[3] == 2 * len(prism.base_vertices)
+        assert census[2] == 3 * len(prism.base_vertices)
 
 
 def test_invalid_prisms_rejected():
@@ -155,7 +155,8 @@ def star_base(n, step, radius=10.0):
 def test_star_bases_are_rejected(n, step):
     with pytest.raises(InvalidPrismError, match="wind exactly once"):
         RightPrism(star_base(n, step), 5.0)
-    assert RightPrism(star_base(n, 1), 5.0).n_sides == n  # the same vertices, once round
+    # the same vertices, once round
+    assert len(RightPrism(star_base(n, 1), 5.0).base_vertices) == n
 
 
 def inside_reference(prism, point):
@@ -248,7 +249,7 @@ def convex_bases(draw):
 def test_convex_counter_clockwise_bases_are_accepted(base, height, shift):
     shift %= len(base)
     prism = RightPrism(tuple(base[shift:] + base[:shift]), height)
-    assert prism.n_sides == len(base)
+    assert len(prism.base_vertices) == len(base)
     assert prism.base_area > 0.0
 
 

@@ -379,11 +379,30 @@ def test_support_bound_is_the_first_power_of_two_below_the_floor():
         assert bound / 2.0 < support_radius(model) <= bound
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "make, message",
+    [(Siso, r"^SISO H: beta \* r\^eta is past the doubles"),
+     (lambda p: SimoMiso(3, p), "incomplete gamma"), (lambda p: Mimo(2, 2, p), "poisson_head")],
+    ids=["siso", "simo3", "mimo"],
+)
+def test_h_where_r_to_the_eta_overflows_is_a_domain_error(make, message):
+    # r^4 = 8.1e309 is past the doubles, but beta r^4 = 0.81: SISO's exp(-inf)
+    # would read 0 where H is 0.445, so every model refuses instead
+    model = make(PathLossParams(1e-310, 4.0, 2))
+    assert pair_connectedness(model, 1e77) > 0.0
+    with pytest.raises(DomainError, match=message):
+        pair_connectedness(model, 3e77)
+    with pytest.raises(DomainError, match=message):
+        pair_connectedness_many(model, [1.0, 3e77])
+
+
 def test_support_radius_past_the_doubles_is_a_convergence_error():
     with pytest.raises(ConvergenceError, match="UnitDisk"):
         support_radius(UnitDisk(1e308, P3))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "model",
     [Siso(PathLossParams(1e-308, 2.0, 3)), SimoMiso(1, PathLossParams(1e-308, 2.0, 3)),
@@ -393,15 +412,14 @@ def test_support_radius_past_the_doubles_is_a_convergence_error():
 def test_support_radius_where_r_to_the_eta_overflows_is_a_domain_error(model):
     # H reads 0 once r^eta overflows, so a radius found there (1.34e154 for
     # SISO) is not where the true H, exp(-1.8) at 1.34e154, meets the floor;
-    # every fading model is refused with the same line
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-        DomainError, match=r"^beta \* r\^eta overflows before H of "
-    ):
+    # every fading model is refused with the same line, and no numpy warning
+    with pytest.raises(DomainError, match=r"^beta \* r\^eta overflows before H of "):
         support_radius(model)
     # a unit disk never reads beta * r^eta
     assert support_radius(UnitDisk(1e200, P3)) == np.nextafter(1e200, math.inf)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "model",
     [SimoMiso(3, PathLossParams(1e-306, 4.0, 3)), Mimo(2, 2, PathLossParams(1e-306, 4.0, 3)),
@@ -411,8 +429,8 @@ def test_support_radius_where_r_to_the_eta_overflows_is_a_domain_error(model):
 def test_support_radius_where_h_meets_the_floor_before_r_to_the_eta_overflows(model):
     # _support_bound's power of two is past the overflow, but H meets the
     # floor below it: the radius is H's own, where beta * r^eta is a double
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        radius = support_radius(model)
+    radius = support_radius(model)
+    with np.errstate(over="ignore"):
         assert math.isinf(model.params.x(_support_bound(model)))
     below = np.nextafter(radius, 0.0)
     assert math.isfinite(model.params.x(radius))
