@@ -7,7 +7,9 @@ nodes there.  Its closed forms belong to the fading models
 (`model.moment(d)` in `linkmodels`).  This module provides an independent
 adaptive-quadrature evaluation of the defining integral, the cross-check
 of those closed forms, the large-m / large-n leading-order terms (the
-step-function approximation) and the error split of that step.
+step-function approximation) and the error split of that step.  Each radial
+integral runs over the unit interval, r / 2^e for a power of two 2^e, where
+its integrand is at most 1; only a result past the doubles is refused.
 """
 
 from __future__ import annotations
@@ -91,9 +93,7 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
     """Kronrod values and QUADPACK error estimates of panels [a, b].
 
     All 21 nodes of every panel go to f in one array; a scalar f value is
-    taken as constant.  A panel's sums stay below 800 max|f| max(1, half), and
-    `_quad`'s over at most `_QUAD_LIMIT` panels below 4 `_QUAD_LIMIT` max|f| half:
-    where the larger bound passes the doubles, the integral is refused.
+    taken as constant.
     """
     half = 0.5 * (b - a)
     r = ((a + half)[:, None] + half[:, None] * _GK_NODES).ravel()
@@ -102,12 +102,8 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
         fx = np.broadcast_to(fx, r.shape)
     fx = fx.reshape(a.size, -1)
     abs_fx = np.abs(fx)
-    peak = float(abs_fx.max())
-    if not math.isfinite(peak):
+    if not math.isfinite(float(abs_fx.max())):
         raise ConvergenceError("quadrature integrand is not finite on its nodes")
-    # Python floats, unlike numpy's, overflow to inf without a warning.
-    if 4.0 * _QUAD_LIMIT * peak * max(1.0, float(half.max())) == math.inf:
-        raise OverflowError(f"quadrature: the integral passes the doubles (max |f| {peak:.3e})")
     resabs = (abs_fx @ _GK_WK) * half
     kronrod = fx @ _GK_WK
     # QUADPACK's estimate resasc min(1, (200 |K - G| / resasc)^1.5), with
@@ -124,6 +120,7 @@ def _quad(
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
+    shift: int = 0,
 ) -> tuple[float, float]:
     """Adaptive G10/K21 integral of an array integrand f over [lo, hi].
 
@@ -133,8 +130,10 @@ def _quad(
     rest's error is within tolerance, and evaluates all their halves in one
     f call; it stops when the summed error is within max(epsabs, epsrel
     |value|), at the subinterval limit, or when no panel can be bisected
-    further.
+    further.  The absolute tolerances are scaled by 2^-shift, for an
+    integral that is 2^-shift times the one wanted.
     """
+    epsabs = math.ldexp(_QUAD_EPSABS, -shift)
     edges = np.array([lo, *sorted(b for b in breakpoints if lo < b < hi), hi], dtype=float)
     # Each segment's first panel starts on its edge exactly, and its last one
     # ends on the next edge, the next segment's first start.
@@ -143,7 +142,7 @@ def _quad(
     b = np.append(a[1:], hi)
     values, errs = _gk21(f, a, b)
     while a.size < _QUAD_LIMIT:
-        excess = errs.sum() - max(_QUAD_EPSABS, _QUAD_EPSREL * abs(values.sum()))
+        excess = errs.sum() - max(epsabs, _QUAD_EPSREL * abs(values.sum()))
         if excess <= 0.0:
             break
         mid = 0.5 * (a + b)
@@ -163,11 +162,46 @@ def _quad(
         values = np.concatenate([values[keep], new_values])
         errs = np.concatenate([errs[keep], new_errs])
     value, abs_err = float(values.sum()), float(errs.sum())
-    if abs_err > max(1e-10, 1e-8 * abs(value)):
+    if abs_err > max(math.ldexp(1e-10, -shift), 1e-8 * abs(value)):
         raise ConvergenceError(
             f"quadrature error estimate {abs_err:.2e} too large for value {value:.6e}"
+            f" (both times 2^{shift})"
         )
     return value, abs_err
+
+
+def _radial(
+    model: ConnectionModel,
+    lo: float,
+    hi: float,
+    breakpoints: Sequence[float] = (),
+    minus_one: bool = False,
+) -> tuple[float, float]:
+    """integral_lo^hi r^(d-1) (H(r) - c) dr, c = 1 if minus_one else 0, with its error.
+
+    Integrated over t = r / 2^e, 2^e the least power of two at or above hi,
+    where the integrand t^(d-1) (H(2^e t) - c) is at most 1 in size.  Every
+    node, value, error and tolerance is the r-space one times a power of
+    two, so the result, 2^(de) times the t-space integral, has the same bits;
+    where that passes the doubles, the integral is refused.
+    """
+    d = model.params.dim
+    frac, e = math.frexp(hi)  # hi = frac 2^e, 1/2 <= frac < 1
+    e -= frac == 0.5  # hi is 2^(e-1) itself
+    c = 1.0 if minus_one else 0.0
+    value, abs_err = _quad(
+        lambda t: t ** (d - 1) * (pair_connectedness_many(model, np.ldexp(t, e)) - c),
+        math.ldexp(lo, -e),
+        math.ldexp(hi, -e),
+        [math.ldexp(b, -e) for b in breakpoints],
+        shift=d * e,
+    )
+    try:
+        return math.ldexp(value, d * e), math.ldexp(abs_err, d * e)
+    except OverflowError:
+        raise OverflowError(
+            f"quadrature: the integral passes the doubles ({value} * 2^{d * e})"
+        ) from None
 
 
 def mass_quadrature(model: ConnectionModel) -> MassResult:
@@ -176,14 +210,7 @@ def mass_quadrature(model: ConnectionModel) -> MassResult:
     The integral runs from 0 to `_upper_limit`, with the model's step radius
     as a breakpoint, so the unit disk's jump falls on a panel edge.
     """
-    d = model.params.dim
-    value, abs_err = _quad(
-        lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
-        0.0,
-        _upper_limit(model),
-        breakpoints=(model.step_radius(),),
-    )
-    return MassResult(value, abs_err)
+    return MassResult(*_radial(model, 0.0, _upper_limit(model), (model.step_radius(),)))
 
 
 def mass_scaling_leading(k: int, params: PathLossParams) -> float:
@@ -205,20 +232,13 @@ def step_error(n: int, params: PathLossParams) -> tuple[float, float]:
     if n < 2:
         raise DomainError(f"step error requires n >= 2, got {n}")
     model = Mimo(2, n, params)
-    d = params.dim
     transition = model.step_radius()
     if not math.isfinite(transition):
         raise DomainError(
             f"step error: the step radius (n/beta)^(1/eta) of {model} overflows"
         )
-    eps_minus, _ = _quad(
-        lambda r: r ** (d - 1) * (pair_connectedness_many(model, r) - 1.0), 0.0, transition
-    )
-    eps_plus, _ = _quad(
-        lambda r: r ** (d - 1) * pair_connectedness_many(model, r),
-        transition,
-        _upper_limit(model),
-    )
+    eps_minus, _ = _radial(model, 0.0, transition, minus_one=True)
+    eps_plus, _ = _radial(model, transition, _upper_limit(model))
     return min(eps_minus, 0.0), max(eps_plus, 0.0)
 
 

@@ -67,13 +67,27 @@ class PathLossParams:
             )
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2, or 3, got {self.dim}")
+        # Python floats: their powers and quotients raise or read inf, never warn
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "eta", float(self.eta))
+
+    def r_eta_overflows(self, r: float) -> bool:
+        """beta * r^eta is past the doubles at r, on Python floats, whose `**` raises unwarned."""
+        try:
+            return self.beta * float(r) ** self.eta == math.inf
+        except OverflowError:
+            return True
 
     def x(self, r):
         """beta * r^eta, the outage threshold argument at distance r.
 
-        np.power, unlike Python's `**` on a float, rounds a scalar r exactly
-        as it rounds the same value inside an array.
+        Refused where it is past the doubles at r's largest value, where H
+        would read 0 or 1 whatever its true value.  np.power, unlike Python's
+        `**` on a float, rounds a scalar r exactly as it rounds the same value
+        inside an array.
         """
+        if self.r_eta_overflows(r.max(initial=0.0) if isinstance(r, np.ndarray) else r):
+            raise DomainError(f"beta * r^eta is past the doubles for {self}")
         return self.beta * np.power(r, self.eta)
 
 
@@ -94,12 +108,7 @@ class SimoMiso:
 
     def h(self, r):
         x = self.params.x(r)
-        if self.m == 1:
-            # exp(-inf) reads 0 whatever H is there; the gammas of m > 1 refuse it too.
-            if (x.max(initial=0.0) if isinstance(x, np.ndarray) else x) == math.inf:
-                raise DomainError(f"SISO H: beta * r^eta is past the doubles for {self}")
-            return np.exp(-x)
-        return specfun.regularized_upper_gamma(self.m, x)
+        return np.exp(-x) if self.m == 1 else specfun.regularized_upper_gamma(self.m, x)
 
     def moment(self, d: int) -> float:
         """integral_0^inf r^(d-1) H(r) dr = Gamma(m + nu) / (Gamma(m) beta^nu d), nu = d/eta."""
@@ -291,15 +300,8 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
 
 
 def _r_eta_overflows(model: ConnectionModel, r: float) -> bool:
-    """beta * r^eta, which every H but the unit disk's reads, is past the doubles at r.
-
-    On Python floats, whose `**` raises where np.power warns and returns inf.
-    """
-    p = model.params
-    try:
-        return not isinstance(model, UnitDisk) and p.beta * r**p.eta == math.inf
-    except OverflowError:
-        return True
+    """beta * r^eta, which every H but the unit disk's reads, is past the doubles at r."""
+    return not isinstance(model, UnitDisk) and model.params.r_eta_overflows(r)
 
 
 def _below_floor(model: ConnectionModel, r: float) -> bool:
@@ -365,7 +367,9 @@ def pair_connectedness_mimo_det(
     """MIMO H via the literal outage determinant of lower incomplete gammas.
 
     Evaluated for min(n_t, n_r) in {1, 2}; the m = 1 case collapses to the
-    diversity form with n = max(n_t, n_r) branches.
+    diversity form with n = max(n_t, n_r) branches.  At m = 2 the Gamma
+    factors of det[gamma(n - 3 + i + j, x)] / (Gamma(n) Gamma(n - 1)) cancel,
+    leaving n P(n-1, x) P(n+1, x) - (n-1) P(n, x)^2.
     """
     m, n = min(n_t, n_r), max(n_t, n_r)
     if m < 1:
@@ -375,33 +379,18 @@ def pair_connectedness_mimo_det(
             f"determinant form implemented for min(n_t, n_r) <= 2 only, got {m}"
         )
     _check_distance(r)
-    x = params.beta * float(r) ** params.eta
-
-    def gamma_lower(a: float) -> float:
-        return math.exp(specfun.log_gamma(a)) * specfun.regularized_lower_gamma(a, x)
-
+    x = params.x(float(r))
     if m == 1:
-        kappa = math.exp(-specfun.log_gamma(n))
-        det = gamma_lower(n)
-    else:
-        # 2x2 determinant of gamma(n - 2 + i + j - 1, x), i, j = 1, 2.
-        g_lo, g_mid, g_hi = gamma_lower(n - 1), gamma_lower(n), gamma_lower(n + 1)
-        det = g_lo * g_hi - g_mid * g_mid
-        kappa = math.exp(-(specfun.log_gamma(n) + specfun.log_gamma(n - 1)))
-    return _clamp01(1.0 - kappa * det)
+        return _clamp01(1.0 - specfun.regularized_lower_gamma(n, x))
+    p_lo, p_mid, p_hi = (specfun.regularized_lower_gamma(a, x) for a in (n - 1, n, n + 1))
+    return _clamp01(1.0 - n * p_lo * p_hi + (n - 1) * p_mid * p_mid)
 
 
 def mimo_gamma_form(n: int, params: PathLossParams, r: float) -> float:
-    """MIMO m = 2 H rearranged into unregularized upper-gamma terms."""
+    """MIMO m = 2 H rearranged into regularized upper-gamma terms Q_j = Q(n - 1 + j, x)."""
     if n < 2:
         raise DomainError(f"gamma form requires n >= 2, got {n}")
     _check_distance(r)
-    x = params.beta * float(r) ** params.eta
-    g_lo = specfun.upper_incomplete_gamma(n - 1, x)
-    g_mid = specfun.upper_incomplete_gamma(n, x)
-    g_hi = specfun.upper_incomplete_gamma(n + 1, x)
-    gam_lo = math.exp(specfun.log_gamma(n - 1))
-    gam_mid = math.exp(specfun.log_gamma(n))
-    linear = (n * g_lo - 2.0 * g_mid + g_hi / (n - 1.0)) / gam_lo
-    quadratic = (g_mid * g_mid - g_lo * g_hi) / (gam_mid * gam_lo)
-    return _clamp01(linear + quadratic)
+    x = params.x(float(r))
+    q_lo, q_mid, q_hi = (specfun.regularized_upper_gamma(a, x) for a in (n - 1, n, n + 1))
+    return _clamp01(n * (q_lo + q_hi - q_lo * q_hi) - (n - 1) * q_mid * (2.0 - q_mid))

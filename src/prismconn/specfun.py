@@ -1,11 +1,11 @@
 """Special functions backing every connectivity formula.
 
-Log-gamma, the regularized/unregularized incomplete gamma functions, the
-Poisson head sum behind integer-order upper gammas and the Gauss
-hypergeometric function on z in [-1, 0].
+Log-gamma, the regularized incomplete gamma functions, the Poisson head
+sum behind integer-order upper gammas and the Gauss hypergeometric
+function on z in [-1, 0].
 The incomplete gammas are thin wrappers over `scipy.special` that accept a
-scalar or an array of x; gamma magnitudes are handled in log space so only
-final results can overflow.
+scalar or an array of x; only their regularized forms, bounded in [0, 1],
+are offered, so callers cancel the Gamma factors instead of building them.
 
 The Gauss function stays a hand-rolled series: checked against mpmath,
 `scipy.special.hyp2f1` (scipy 1.17.1) at the arguments of the MIMO mass
@@ -28,10 +28,8 @@ __all__ = [
     "poisson_head",
     "regularized_lower_gamma",
     "regularized_upper_gamma",
-    "upper_incomplete_gamma",
 ]
 
-_LOG_DBL_MAX = 709.782712893384
 _HYP_REL_TOL = 1e-14
 _HYP_MAX_ITER = 10_000
 
@@ -68,20 +66,6 @@ def regularized_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     _check_gamma_args(a, x)
     return _sp.gammaincc(a, x)
-
-
-def upper_incomplete_gamma(a: float, x):
-    """Unregularized upper incomplete gamma Gamma(a, x).
-
-    Reconstructed from the regularized value in log space; raises
-    OverflowError if the result exceeds the double range.
-    """
-    _check_gamma_args(a, x)
-    with np.errstate(divide="ignore"):
-        log_val = np.log(_sp.gammaincc(a, x)) + math.lgamma(a)
-    if np.any(log_val > _LOG_DBL_MAX):
-        raise OverflowError(f"Gamma({a}, {x}) exceeds the double-precision range")
-    return np.exp(log_val)
 
 
 def poisson_head(k: int, x):

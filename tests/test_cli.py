@@ -973,7 +973,6 @@ def test_field_grid_cap_comes_before_any_draw(monkeypatch, capsys):
     assert "more than 100000 for json" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [

@@ -103,8 +103,7 @@ def test_quadrature_stops_short_of_where_r_to_the_eta_overflows(beta):
     # the support bound's r^4 passes the doubles, but beta * r^4 is still a
     # double at the support radius, so the integral stops there
     model = Siso(PathLossParams(beta, 4.0, 3))
-    with np.errstate(over="ignore"):
-        assert not math.isfinite(model.params.x(linkmodels._support_bound(model)))
+    assert model.params.r_eta_overflows(linkmodels._support_bound(model))
     assert mass_quadrature(model).value == pytest.approx(model.moment(3), rel=1e-11)
 
 
@@ -414,29 +413,6 @@ def test_quad_raises_on_non_finite_values(f):
     assert len(calls) == 1  # raised at once, not after refining to the cap
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "f, hi",
-    [
-        # every value is a double, their integral over [0, 1e10] is not
-        (lambda r: np.full_like(r, 1e300), 1e10),
-        # the integral is small, but 200 |K - G| half, the error estimate, is not
-        (lambda r: 1.7e307 * np.cos(1e4 * r), 1.0),
-    ],
-    ids=["integral", "error-estimate"],
-)
-def test_quad_refuses_an_integral_past_the_doubles_at_once(f, hi):
-    calls = []
-
-    def counting(r):
-        calls.append(r)
-        return f(r)
-
-    with pytest.raises(OverflowError, match="the integral passes the doubles"):
-        _quad(counting, 0.0, hi)
-    assert len(calls) == 1
-
-
 def test_quad_takes_an_integral_of_huge_values():
     assert _quad(lambda r: np.full_like(r, 1e300), 0.0, 1.0)[0] == pytest.approx(1e300, rel=1e-15)
 
@@ -444,13 +420,63 @@ def test_quad_takes_an_integral_of_huge_values():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "model",
-    [SimoMiso(3, PathLossParams(10**-306.5, 2.0, 3)), UnitDisk(1e155, PathLossParams(1.0, 2.0, 2))],
-    ids=["simo3", "unitdisk"],
+    [SimoMiso(3, PathLossParams(10**-306.5, 2.0, 3)), UnitDisk(1e155, PathLossParams(1.0, 2.0, 2)),
+     UnitDisk(1e200, PathLossParams(1.0, 2.0, 3))],
+    ids=["simo3", "unitdisk", "unitdisk-r2-overflows"],
 )
 def test_mass_past_the_doubles_is_an_overflow_error(model):
-    # H and r^(d-1) H are doubles on every node; M' (about 1.1e460 and 5e309) is not
+    # M' (about 1.1e460, 5e309 and 3e599) is no double; r^2 of the last one
+    # passes the doubles too, but over t = r / 2^e the integrand is at most 1
     with pytest.raises(OverflowError, match="the integral passes the doubles"):
         mass_quadrature(model)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "make, beta",
+    [(lambda p: Mimo(2, 60, p), 1e-203), (lambda p: SimoMiso(8, p), 3.16e-204),
+     (Siso, 1e-204), (lambda p: Mimo(2, 2, p), 1e-205)],
+    ids=["mimo60", "simo8", "siso", "mimo2"],
+)
+def test_mass_near_the_largest_double_integrates(make, beta):
+    # M' is a double, though the integral's r-space panel sums could pass them
+    model = make(PathLossParams(beta, 2.0, 3))
+    assert mass_quadrature(model).value == pytest.approx(model.moment(3), rel=1e-13)
+
+
+_P4 = PathLossParams(1.0, 4.0, 3)
+
+
+@pytest.mark.parametrize(
+    "model, value, error",
+    [
+        (SimoMiso(1, _P4), "0x1.39b4e8b50f62cp-2", "0x1.ea2aaba260b12p-49"),
+        (SimoMiso(8, _P4), "0x1.913cf49692ff2p+0", "0x1.39779f1682a77p-46"),
+        (SimoMiso(64, _P4), "0x1.e2033773971e1p+2", "0x1.da00ddf308616p-43"),
+        (Mimo(2, 2, _P4), "0x1.aa4fa6285c6dep-1", "0x1.4d0e39d04377ap-47"),
+        (Mimo(2, 64, _P4), "0x1.0a283f0c7f138p+3", "0x1.4e2b5242b3398p-37"),
+        (UnitDisk(2.3, _P4), "0x1.03900aec33e1fp+2", "0x1.9591111111110p-45"),
+    ],
+    ids=["simo1", "simo8", "simo64", "mimo2", "mimo64", "unitdisk"],
+)
+def test_mass_quadrature_keeps_its_bits(model, value, error):
+    # pinned from the r-space quadrature; the integral over t = r / 2^e scales
+    # every node, value, error and tolerance by a power of two
+    result = mass_quadrature(model)
+    assert (result.value.hex(), result.est_abs_error.hex()) == (value, error)
+
+
+@pytest.mark.parametrize(
+    "n, params, expected",
+    [
+        (16, _P4, ["-0x1.985630d6bf730p-6", "0x1.1c665c8b7785dp-1"]),
+        # eps_minus meets the absolute tolerance, so it pins its scaling too
+        (64, PathLossParams(1.0, 4.0, 1), ["-0x1.ec902fd6ec8c8p-9", "0x1.877f0435050b5p-4"]),
+    ],
+    ids=["n16-d3", "n64-d1"],
+)
+def test_step_error_keeps_its_bits(n, params, expected):
+    assert [e.hex() for e in step_error(n, params)] == expected
 
 
 def test_quad_stops_at_300_subintervals():

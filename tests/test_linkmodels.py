@@ -43,6 +43,17 @@ def test_params_validation():
     assert Mimo(512, 2, P3).n == 512
 
 
+@pytest.mark.filterwarnings("error")
+def test_params_hold_python_floats():
+    # a numpy-scalar beta or eta is stored as a Python float, so the moments'
+    # overflow fallbacks run on Python arithmetic, with no numpy warning
+    params = PathLossParams(np.float64(1e-203), np.float64(2.0), 3)
+    assert type(params.beta) is float and type(params.eta) is float
+    assert Mimo(2, 60, params).moment(3) == 6.030182149398204e306
+    with pytest.raises(TypeError):
+        PathLossParams("1.0", 2.0, 3)  # validated before the conversion
+
+
 def test_siso_point_values():
     model = Siso(P3)
     assert pair_connectedness(model, 0.0) == 1.0
@@ -133,6 +144,19 @@ def test_mimo_cross_forms(n, beta, eta):
         gamma_form = mimo_gamma_form(n, params, r)
         assert abs(expansion - det) < 1e-10
         assert abs(expansion - gamma_form) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [100, 200, 512])
+def test_mimo_cross_forms_at_high_orders(n):
+    # Gamma(n + 1) passes the doubles from n = 171; the regularized forms
+    # cancel it and stay within 1e-10 of H across its drop at r = sqrt(n)
+    model = Mimo(2, n, P3)
+    for r in np.linspace(0.0, 1.5 * math.sqrt(n), 31):
+        r = float(r)
+        expansion = pair_connectedness(model, r)
+        assert abs(pair_connectedness_mimo_det(2, n, P3, r) - expansion) < 1e-10
+        assert abs(mimo_gamma_form(n, P3, r) - expansion) < 1e-10
 
 
 def test_det_form_m1_reduces_to_diversity():
@@ -379,17 +403,15 @@ def test_support_bound_is_the_first_power_of_two_below_the_floor():
         assert bound / 2.0 < support_radius(model) <= bound
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
-    "make, message",
-    [(Siso, r"^SISO H: beta \* r\^eta is past the doubles"),
-     (lambda p: SimoMiso(3, p), "incomplete gamma"), (lambda p: Mimo(2, 2, p), "poisson_head")],
-    ids=["siso", "simo3", "mimo"],
+    "make", [Siso, lambda p: SimoMiso(3, p), lambda p: Mimo(2, 2, p)], ids=["siso", "simo3", "mimo"]
 )
-def test_h_where_r_to_the_eta_overflows_is_a_domain_error(make, message):
+def test_h_where_r_to_the_eta_overflows_is_a_domain_error(make):
     # r^4 = 8.1e309 is past the doubles, but beta r^4 = 0.81: SISO's exp(-inf)
-    # would read 0 where H is 0.445, so every model refuses instead
+    # would read 0 where H is 0.445, so every model refuses, with one line from
+    # beta * r^eta itself and no numpy warning
     model = make(PathLossParams(1e-310, 4.0, 2))
+    message = r"^beta \* r\^eta is past the doubles for PathLossParams"
     assert pair_connectedness(model, 1e77) > 0.0
     with pytest.raises(DomainError, match=message):
         pair_connectedness(model, 3e77)
@@ -430,8 +452,7 @@ def test_support_radius_where_h_meets_the_floor_before_r_to_the_eta_overflows(mo
     # _support_bound's power of two is past the overflow, but H meets the
     # floor below it: the radius is H's own, where beta * r^eta is a double
     radius = support_radius(model)
-    with np.errstate(over="ignore"):
-        assert math.isinf(model.params.x(_support_bound(model)))
+    assert model.params.r_eta_overflows(_support_bound(model))
     below = np.nextafter(radius, 0.0)
-    assert math.isfinite(model.params.x(radius))
+    assert not model.params.r_eta_overflows(radius)
     assert pair_connectedness(model, radius) < 1e-12 <= pair_connectedness(model, below)
