@@ -358,18 +358,20 @@ def _upper_limit(model: ConnectionModel) -> float:
     return support_radius(model) if _r_eta_overflows(model, bound) else bound
 
 
-def pair_connectedness_mimo_det(
-    n_t: int,
-    n_r: int,
-    params: PathLossParams,
-    r: float,
-) -> float:
+def _oracle_x(params: PathLossParams, r):
+    """x = beta * r^eta for the oracle forms: a checked scalar r as a float, or an array of r."""
+    _check_distance(r)
+    return params.x(r if isinstance(r, np.ndarray) else float(r))
+
+
+def pair_connectedness_mimo_det(n_t: int, n_r: int, params: PathLossParams, r):
     """MIMO H via the literal outage determinant of lower incomplete gammas.
 
     Evaluated for min(n_t, n_r) in {1, 2}; the m = 1 case collapses to the
     diversity form with n = max(n_t, n_r) branches.  At m = 2 the Gamma
     factors of det[gamma(n - 3 + i + j, x)] / (Gamma(n) Gamma(n - 1)) cancel,
-    leaving n P(n-1, x) P(n+1, x) - (n-1) P(n, x)^2.
+    leaving n P(n-1, x) P(n+1, x) - (n-1) P(n, x)^2.  Takes a scalar r or an
+    array of r, as `h` does, and gives each element's scalar value bit for bit.
     """
     m, n = min(n_t, n_r), max(n_t, n_r)
     if m < 1:
@@ -378,19 +380,21 @@ def pair_connectedness_mimo_det(
         raise CapabilityError(
             f"determinant form implemented for min(n_t, n_r) <= 2 only, got {m}"
         )
-    _check_distance(r)
-    x = params.x(float(r))
+    x = _oracle_x(params, r)
     if m == 1:
         return _clamp01(1.0 - specfun.regularized_lower_gamma(n, x))
     p_lo, p_mid, p_hi = (specfun.regularized_lower_gamma(a, x) for a in (n - 1, n, n + 1))
     return _clamp01(1.0 - n * p_lo * p_hi + (n - 1) * p_mid * p_mid)
 
 
-def mimo_gamma_form(n: int, params: PathLossParams, r: float) -> float:
-    """MIMO m = 2 H rearranged into regularized upper-gamma terms Q_j = Q(n - 1 + j, x)."""
+def mimo_gamma_form(n: int, params: PathLossParams, r):
+    """MIMO m = 2 H rearranged into regularized upper-gamma terms Q_j = Q(n - 1 + j, x).
+
+    Takes a scalar r or an array of r, as `h` does, and gives each element's
+    scalar value bit for bit.
+    """
     if n < 2:
         raise DomainError(f"gamma form requires n >= 2, got {n}")
-    _check_distance(r)
-    x = params.x(float(r))
+    x = _oracle_x(params, r)
     q_lo, q_mid, q_hi = (specfun.regularized_upper_gamma(a, x) for a in (n - 1, n, n + 1))
     return _clamp01(n * (q_lo + q_hi - q_lo * q_hi) - (n - 1) * q_mid * (2.0 - q_mid))

@@ -146,6 +146,24 @@ def test_pfc_house_output_keeps_its_bytes(fmt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of `validate`'s output bytes and its exit code, pinned before the
+# oracles took stacks and the MIMO forms arrays (x86_64 Linux, CPython
+# 3.11.7, numpy 2.4.6): no check's status or detail string moves.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [(["validate"], 0,
+      "b7b9d9f7e7d398e601104471badb96cd3561ca5262ad167246621c6d5e37fe5d"),
+     (["validate", "--format", "json"], 0,
+      "2e36c4c159fa228d71749ecdc59047a8ca3f147fa2b4d74f96cbbace17aa02a0"),
+     (["validate", "--perturb"], 4,
+      "1bbab406b92cb4529ae93c627d6775422fedd350ff3c0db3e6f738385d056f44")],
+    ids=["csv", "json", "perturb"],
+)
+def test_validate_output_keeps_its_bytes(argv, code, digest, capsys):
+    assert run_cli(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_simulate_analytic_column_keeps_its_bytes(tmp_path):
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--rho", "0.5,0.8", "--trials", "50", "--seed", "4",
@@ -773,6 +791,14 @@ def test_validate_perturb_negative_control(tmp_path):
     assert rc == 4
     header, rows = read_csv(tmp_path / "p.csv")
     assert rows[0][1] == "FAIL"
+
+
+def test_every_check_passes_a_python_bool():
+    # a comparison of numpy floats would pass np.True_
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    for r in results:
+        assert type(r.passed) is bool, r.name
 
 
 def test_validate_unknown_check():

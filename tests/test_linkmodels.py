@@ -150,13 +150,17 @@ def test_mimo_cross_forms(n, beta, eta):
 @pytest.mark.parametrize("n", [100, 200, 512])
 def test_mimo_cross_forms_at_high_orders(n):
     # Gamma(n + 1) passes the doubles from n = 171; the regularized forms
-    # cancel it and stay within 1e-10 of H across its drop at r = sqrt(n)
+    # cancel it and stay within 1e-10 of H across its drop at r = sqrt(n).
+    # On an array of r each form gives its scalar values bit for bit.
     model = Mimo(2, n, P3)
-    for r in np.linspace(0.0, 1.5 * math.sqrt(n), 31):
-        r = float(r)
-        expansion = pair_connectedness(model, r)
-        assert abs(pair_connectedness_mimo_det(2, n, P3, r) - expansion) < 1e-10
-        assert abs(mimo_gamma_form(n, P3, r) - expansion) < 1e-10
+    radii = np.linspace(0.0, 1.5 * math.sqrt(n), 31)
+    for form in (lambda r: pair_connectedness_mimo_det(2, n, P3, r),
+                 lambda r: mimo_gamma_form(n, P3, r)):
+        scalars = [form(float(r)) for r in radii]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.array_equal(form(radii).view(np.int64), np.array(scalars).view(np.int64))
+        for r, value in zip(radii, scalars):
+            assert abs(value - pair_connectedness(model, float(r))) < 1e-10
 
 
 def test_det_form_m1_reduces_to_diversity():

@@ -36,7 +36,9 @@ from prismconn.mc_sim import (
     UnionFind,
     _HCeiling,
     _pair_nodes,
+    _miss_matrix,
     _root_graph,
+    _subset_recursion,
     _trial_rng,
     connection_field,
     connectivity_check,
@@ -53,6 +55,18 @@ from prismconn.validation import (
 
 P2 = PathLossParams(1.0, 2.0, 2)
 P3 = PathLossParams(1.0, 2.0, 3)
+
+
+def bits(values):
+    """The float64 bit patterns of values, so equality is bit for bit."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def stacked_exact(point_sets, model):
+    """The exact oracle on one stack of the point sets' 1 - H matrices."""
+    return _subset_recursion(
+        np.array([_miss_matrix(np.asarray(pts, dtype=float), model) for pts in point_sets])
+    )
 
 
 def h_matrix(points, model):
@@ -644,32 +658,47 @@ def test_oracles_match_the_cutoff_route(model):
 
 def test_brute_force_matches_loop_reference():
     rng = np.random.default_rng(99)
+    by_size = {}
     for n in (0, 1, 2, 3, 3, 4, 4, 5, 5, 6):
         h = rng.random((n, n))
         h[rng.random((n, n)) < 0.2] = 0.0
         h[rng.random((n, n)) < 0.2] = 1.0
         assert brute_force_connectivity_probability(h) == reference_brute_force(h), h
+        by_size.setdefault(n, []).append(h)
+    # the matrices of each size as one stack: the same bits per matrix
+    for n, hs in by_size.items():
+        expected = [brute_force_connectivity_probability(h) for h in hs]
+        assert np.array_equal(bits(brute_force_connectivity_probability(np.array(hs))),
+                              bits(expected)), n
 
 
 def test_oracles_where_h_is_zero_or_one():
     # H is exactly 1 between coincident points and exactly 0 between the
-    # two clusters, 30 apart (beyond every model's support radius).
+    # two clusters, 30 apart (beyond every model's support radius).  The
+    # sets of each size also go through each oracle as one stack.
     model = Mimo(2, 2, P3)
     assert 30.0 > support_radius(model)
     for n in range(2, 13):
         together = np.tile([1.0, 2.0, 0.5], (n, 1))
         assert exact_connectivity_probability(together, model) == 1.0
+        sets, expected = [together], [1.0]
         for split in range(1, n):
             apart = together.copy()
             apart[split:, 0] += 30.0
             assert exact_connectivity_probability(apart, model) == 0.0
             assert exact_connectivity_probability(apart[::-1], model) == 0.0
+            sets += [apart, apart[::-1]]
+            expected += [0.0, 0.0]
             if n <= 6:
                 h = h_matrix(apart, model)
                 assert set(np.unique(h)) <= {0.0, 1.0}
                 assert brute_force_connectivity_probability(h) == 0.0
         if n <= 6:
             assert brute_force_connectivity_probability(h_matrix(together, model)) == 1.0
+            stack = np.array([h_matrix(pts, model) for pts in sets])
+            assert np.array_equal(bits(brute_force_connectivity_probability(stack)),
+                                  bits(expected))
+        assert np.array_equal(bits(stacked_exact(sets, model)), bits(expected))
     # Spread clusters: the brute force sums no subset at all, while the
     # recursion cancels to rounding error (down to -1.7e-16 unclipped).
     rng = np.random.default_rng(1)
@@ -689,8 +718,13 @@ def test_oracles_where_h_is_zero_or_one():
         np.array([[0.0, -0.25], [-0.25, 0.0]]),
         np.array([[0.0, np.inf], [np.inf, 0.0]]),
         np.full(3, 0.5),
+        np.stack([np.full((3, 3), 0.5), np.full((3, 3), np.nan)]),
+        np.stack([np.full((3, 3), 1.5), np.full((3, 3), 0.5)]),
+        np.full((2, 2, 3), 0.5),
+        np.full((1, 2, 2, 2), 0.5),
     ],
-    ids=["nan", "above-one", "not-square", "negative", "infinite", "one-dimensional"],
+    ids=["nan", "above-one", "not-square", "negative", "infinite", "one-dimensional",
+         "stack-nan", "stack-above-one", "stack-not-square", "four-dimensional"],
 )
 def test_brute_force_rejects_malformed_h(h):
     with pytest.raises(DomainError):
@@ -775,21 +809,30 @@ def test_exact_oracle_does_not_depend_on_blocking(monkeypatch):
     sets = [sample_uniform_rng(house_prism(3.0), 12, rng) for _ in range(2)]
     expected = [exact_connectivity_probability(pts, model) for pts in sets]
     assert all(0.0 < p < 1.0 for p in expected)
+    # The two sets as one stack give the same bits, whatever the blocking.
+    assert np.array_equal(bits(stacked_exact(sets, model)), bits(expected))
     for block in (1, 1 << 30):
         monkeypatch.setattr(mc_sim, "_EXACT_BLOCK", block)
         assert [exact_connectivity_probability(pts, model) for pts in sets] == expected
+        assert np.array_equal(bits(stacked_exact(sets, model)), bits(expected))
 
 
 def test_oracle_working_sets_stay_small():
     # tracemalloc sees numpy's allocations: 10^5 edge resamples at 10 nodes
     # peaked at 11.5 MB, and the exact oracle at 12 nodes at 3.5 MB, when
-    # neither ran in bounded chunks.
+    # neither ran in bounded chunks.  A stack of 50 five-node sets, the size
+    # `validate` takes, goes through each oracle at once.
     rng = np.random.default_rng(7)
     model = Mimo(2, 2, PathLossParams(0.35, 2.0, 3))
     ten, twelve = (sample_uniform_rng(house_prism(3.0), n, rng) for n in (10, 12))
+    fives = [sample_uniform_rng(house_prism(3.0), 5, rng) for _ in range(50)]
+    q_stack = np.array([_miss_matrix(pts, model) for pts in fives])
+    h_stack = np.array([h_matrix(pts, model) for pts in fives])
     for call in (
         lambda: edge_resampling_estimate(ten, model, 100_000, seed=3),
         lambda: exact_connectivity_probability(twelve, model),
+        lambda: _subset_recursion(q_stack),
+        lambda: brute_force_connectivity_probability(h_stack),
     ):
         call()  # one-time allocations (numpy, scipy) before measuring
         tracemalloc.start()
