@@ -4,13 +4,13 @@ Four models are supported: SISO, SIMO/MISO with m diversity branches,
 MIMO with beamforming + maximum ratio combining restricted to
 min(n_t, n_r) = 2, and the unit-disk hard threshold.  SISO is SIMO/MISO
 with m = 1.  Each model owns its H as an `h(r)` method that takes a scalar
-or an array of distances; the scalar and vectorized entry points below are
-thin wrappers over it.  The fading models also own the closed forms of H's
-radial moments, `moment(d)` = integral_0^inf r^(d-1) H(r) dr: the
-homogeneous mass M' is `moment(params.dim)`, and the boundary expansion's
-J and I0 are `moment(2)` and `moment(1)`.  The MIMO connectedness is also
-available in two further algebraically equivalent forms so the three can be
-cross-checked.
+or an array of checked distances; the entry points below are thin wrappers
+over it, and each checks its distances in one pass (`_check_distance`).
+The fading models also own the closed forms of H's radial moments,
+`moment(d)` = integral_0^inf r^(d-1) H(r) dr: the homogeneous mass M' is
+`moment(params.dim)`, and the boundary expansion's J and I0 are `moment(2)`
+and `moment(1)`.  The MIMO connectedness is also available in two further
+algebraically equivalent forms so the three can be cross-checked.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .errors import CapabilityError, ConvergenceError, DomainError
@@ -81,13 +82,11 @@ class PathLossParams:
     def x(self, r):
         """beta * r^eta, the outage threshold argument at distance r.
 
-        Refused where it is past the doubles at r's largest value, where H
-        would read 0 or 1 whatever its true value.  np.power, unlike Python's
-        `**` on a float, rounds a scalar r exactly as it rounds the same value
-        inside an array.
+        r must be checked: non-negative, finite, and where beta * r^eta is a
+        double, as the H entry points' `_check_distance` makes sure.
+        np.power, unlike Python's `**` on a float, rounds a scalar r exactly
+        as it rounds the same value inside an array.
         """
-        if self.r_eta_overflows(r.max(initial=0.0) if isinstance(r, np.ndarray) else r):
-            raise DomainError(f"beta * r^eta is past the doubles for {self}")
         return self.beta * np.power(r, self.eta)
 
 
@@ -108,12 +107,12 @@ class SimoMiso:
 
     def h(self, r):
         x = self.params.x(r)
-        return np.exp(-x) if self.m == 1 else specfun.regularized_upper_gamma(self.m, x)
+        return np.exp(-x) if self.m == 1 else special.gammaincc(self.m, x)
 
     def moment(self, d: int) -> float:
         """integral_0^inf r^(d-1) H(r) dr = Gamma(m + nu) / (Gamma(m) beta^nu d), nu = d/eta."""
         nu = d / self.params.eta
-        value = math.exp(specfun.log_gamma(self.m + nu) - specfun.log_gamma(self.m)) / (
+        value = math.exp(math.lgamma(self.m + nu) - math.lgamma(self.m)) / (
             _beta_scale(self.params, d, "SimoMiso.moment") * d
         )
         return _finite_mass(value, "SimoMiso.moment")
@@ -174,7 +173,7 @@ class Mimo:
         nu = d / self.params.eta
         value = (
             (nu * nu + nu + 2.0 - 2.0 ** (-nu))
-            * math.exp(specfun.log_gamma(nu))
+            * math.exp(math.lgamma(nu))
             / (_beta_scale(self.params, d, "Mimo.moment") * self.params.eta)
         )
         return _finite_mass(value, "Mimo.moment")
@@ -234,10 +233,8 @@ def _mimo_moment(n: int, params: PathLossParams, d: int) -> float:
     """The general closed form of `Mimo.moment` for n = max(n_t, n_r) >= 2."""
     nu = d / params.eta
     scale = _beta_scale(params, d, "Mimo.moment")
-    linear = (1.0 - nu) * math.exp(
-        specfun.log_gamma(n - 1 + nu) - specfun.log_gamma(n - 1)
-    ) / (scale * d)
-    log_prefactor = specfun.log_gamma(2 * n + nu) - 2.0 * specfun.log_gamma(n)
+    linear = (1.0 - nu) * math.exp(math.lgamma(n - 1 + nu) - math.lgamma(n - 1)) / (scale * d)
+    log_prefactor = math.lgamma(2 * n + nu) - 2.0 * math.lgamma(n)
     f_plain = specfun.gauss_2f1(n - 1, 2 * n + nu, n + 1, -1.0)
     f_shift = specfun.gauss_2f1(n - 1 + nu, 2 * n + nu, n + 1 + nu, -1.0)
     bracket = f_plain / n - (n - 1) / ((n + nu) * (n - 1 + nu)) * f_shift
@@ -261,9 +258,16 @@ def Siso(params: PathLossParams) -> SimoMiso:
 _DISTANCE_TYPES = (float, int, np.ndarray, numbers.Real)
 
 
-def _check_distance(r) -> None:
-    if not (isinstance(r, _DISTANCE_TYPES) and specfun._x_ok(r)):
+def _check_distance(model: ConnectionModel, r) -> None:
+    """Refuse r unless it holds non-negative finite reals, at which the
+    model's beta * r^eta is a double: past it H reads 0 or 1 whatever its true
+    value.  One min and one max over an array, and one probe at the max.
+    """
+    top = specfun._checked_max(r) if isinstance(r, _DISTANCE_TYPES) else None
+    if top is None:
         raise DomainError("distances must be non-negative finite reals")
+    if _r_eta_overflows(model, top):
+        raise DomainError(f"beta * r^eta is past the doubles for {model.params}")
 
 
 def _clamp01(h):
@@ -275,7 +279,7 @@ def _clamp01(h):
 
 def pair_connectedness(model: ConnectionModel, r: float) -> float:
     """Probability that two nodes a distance r apart share a direct link."""
-    _check_distance(r)
+    _check_distance(model, r)
     return float(model.h(float(r)))
 
 
@@ -289,7 +293,7 @@ def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray
     returned as H made it, uncopied.
     """
     r = np.asarray(r, dtype=float)
-    _check_distance(r)
+    _check_distance(model, r)
     if r.size <= H_BLOCK:
         return model.h(r)
     out = np.empty(r.shape)
@@ -360,7 +364,7 @@ def _upper_limit(model: ConnectionModel) -> float:
 
 def _oracle_x(params: PathLossParams, r):
     """x = beta * r^eta for the oracle forms: a checked scalar r as a float, or an array of r."""
-    _check_distance(r)
+    _check_distance(Siso(params), r)  # any fading link reads the same beta * r^eta
     return params.x(r if isinstance(r, np.ndarray) else float(r))
 
 
@@ -382,8 +386,8 @@ def pair_connectedness_mimo_det(n_t: int, n_r: int, params: PathLossParams, r):
         )
     x = _oracle_x(params, r)
     if m == 1:
-        return _clamp01(1.0 - specfun.regularized_lower_gamma(n, x))
-    p_lo, p_mid, p_hi = (specfun.regularized_lower_gamma(a, x) for a in (n - 1, n, n + 1))
+        return _clamp01(1.0 - special.gammainc(n, x))
+    p_lo, p_mid, p_hi = (special.gammainc(a, x) for a in (n - 1, n, n + 1))
     return _clamp01(1.0 - n * p_lo * p_hi + (n - 1) * p_mid * p_mid)
 
 
@@ -396,5 +400,5 @@ def mimo_gamma_form(n: int, params: PathLossParams, r):
     if n < 2:
         raise DomainError(f"gamma form requires n >= 2, got {n}")
     x = _oracle_x(params, r)
-    q_lo, q_mid, q_hi = (specfun.regularized_upper_gamma(a, x) for a in (n - 1, n, n + 1))
+    q_lo, q_mid, q_hi = (special.gammaincc(a, x) for a in (n - 1, n, n + 1))
     return _clamp01(n * (q_lo + q_hi - q_lo * q_hi) - (n - 1) * q_mid * (2.0 - q_mid))

@@ -163,6 +163,8 @@ class _HCeiling:
 
     def __init__(self, model: ConnectionModel, cutoff: float):
         knots = np.arange(_H_BINS + 1) * (cutoff / _H_BINS)
+        # unchecked: the knots end at the cutoff, where `support_radius` has
+        # found beta * r^eta a double
         h = model.h(knots)
         self.table = np.maximum(h[:-1], h[1:]) + _H_SLACK
         # at most the largest double, so r * scale stays finite for any
@@ -300,7 +302,7 @@ class _PairTable:
         near = np.flatnonzero(np.logical_not(far, out=far))
         # mode="clip" writes straight into out; "raise" would buffer it
         r = np.take(dists, near, out=self.r[: near.size], mode="clip")
-        _check_distance(r)
+        _check_distance(config.model, r)
         u = rng.random(out=self.u[: near.size])
         # the distances are taken, so their buffer holds the ceilings
         ceiling = config.ceiling(r, self.bins[: near.size], out=self.dists[: near.size])

@@ -1,11 +1,11 @@
-"""Special functions backing every connectivity formula.
+"""Special functions that scipy and `math` lack.
 
-Log-gamma, the regularized incomplete gamma functions, the Poisson head
-sum behind integer-order upper gammas and the Gauss hypergeometric
-function on z in [-1, 0].
-The incomplete gammas are thin wrappers over `scipy.special` that accept a
-scalar or an array of x; only their regularized forms, bounded in [0, 1],
-are offered, so callers cancel the Gamma factors instead of building them.
+`poisson_head(k, x)`, the Poisson head sum behind integer-order upper
+gammas and the next Poisson term, from one exp per element; and the Gauss
+hypergeometric function on z in [-1, 0].  Log-gamma and the regularized
+incomplete gammas are `math.lgamma` and `scipy.special.gammainc` and
+`gammaincc`, called directly where the link models have checked their
+orders and arguments.
 
 The Gauss function stays a hand-rolled series: checked against mpmath,
 `scipy.special.hyp2f1` (scipy 1.17.1) at the arguments of the MIMO mass
@@ -18,54 +18,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "gauss_2f1",
-    "log_gamma",
-    "poisson_head",
-    "regularized_lower_gamma",
-    "regularized_upper_gamma",
-]
+__all__ = ["gauss_2f1", "poisson_head"]
 
 _HYP_REL_TOL = 1e-14
 _HYP_MAX_ITER = 10_000
 
 
-def log_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0."""
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"log_gamma requires finite a > 0, got {a}")
-    return math.lgamma(a)
+def _checked_max(x):
+    """x's largest value if every x is finite and non-negative, else None.
 
-
-def _x_ok(x) -> bool:
-    """Whether every x is finite and non-negative."""
+    An array costs one max and one min, reductions with no temporaries; NaN
+    fails both comparisons.  An empty array's largest value is 0.
+    """
     if isinstance(x, np.ndarray):
-        # reductions, not elementwise masks: no temporaries; NaN fails both
-        return x.size == 0 or bool(x.min() >= 0.0 and x.max() < math.inf)
-    return math.isfinite(x) and x >= 0.0
-
-
-def _check_gamma_args(a: float, x) -> None:
-    if not (math.isfinite(a) and a > 0.0 and _x_ok(x)):
-        raise DomainError(
-            f"incomplete gamma requires finite a > 0 and finite x >= 0, got a={a}, x={x}"
-        )
-
-
-def regularized_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
-    _check_gamma_args(a, x)
-    return _sp.gammainc(a, x)
-
-
-def regularized_upper_gamma(a: float, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    _check_gamma_args(a, x)
-    return _sp.gammaincc(a, x)
+        if x.size == 0:
+            return 0.0
+        top = x.max()
+        return top if x.min() >= 0.0 and top < math.inf else None
+    return x if math.isfinite(x) and x >= 0.0 else None
 
 
 def poisson_head(k: int, x):
@@ -79,7 +52,7 @@ def poisson_head(k: int, x):
     an array element (augmented assignments rebind it), so the two agree
     bit for bit.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0 and _x_ok(x)):
+    if not (isinstance(k, (int, np.integer)) and k >= 0 and _checked_max(x) is not None):
         raise DomainError(
             f"poisson_head requires integer k >= 0 and finite x >= 0, got k={k}, x={x}"
         )

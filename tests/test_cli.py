@@ -164,6 +164,34 @@ def test_validate_output_keeps_its_bytes(argv, code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of the output bytes, pinned before `specfun`'s scipy and `math`
+# wrappers were deleted and the beta * r^eta probe moved into the distance
+# check (x86_64 Linux, CPython 3.11.7, numpy 2.4.6): every H, moment and
+# quadrature keeps its bits, and so does every Monte Carlo draw.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(["mass", "--model", "simo", "--m", "1..64", "--eta", "2,3,4"],
+      "8df21030e9fe221b87aec287d1d625d958c5532a7ba80a8be3a0f040053159c6"),
+     (["mass", "--model", "mimo", "--m", "2..64", "--eta", "2,3,4", "--d", "2"],
+      "b354b098134f2a2950243288ace4e49a5d1d22030e8eb62dec4ab23de23c5222"),
+     (["field", "--square", "10", "--rho", "1.5", "--seed", "3", "--grid", "60"],
+      "a8c4e5d97fff5cc2f000baf7b9f65b34ead858444b11560142367ccbf8579164"),
+     (["field", "--square", "8", "--rho", "1.0", "--model", "simo", "--m", "3",
+       "--seed", "5", "--grid", "60"],
+      "b33142c9a8f5a37de4f9b5b9797468955669d64d1b097c2aaa4b4cfbec2cd252"),
+     (["field", "--prism", "house", "--L", "7", "--rho", "0.3", "--model", "mimo",
+       "--n", "2", "--seed", "7", "--grid", "20"],
+      "6fb2a6ab07a2f62940bf65d27d3c40edee359dfaf423a696560f9b9c2665044b"),
+     (["simulate", "--rho", "0.5,0.8", "--trials", "50", "--seed", "4"],
+      "c46cc7a159ee347d825de3c25e6e2d97f3633f2c5abdc4dd89a67dd47542d1f2")],
+    ids=["mass-simo", "mass-mimo", "field-siso", "field-simo3", "field-mimo-house",
+         "simulate"],
+)
+def test_mass_field_and_simulate_output_keeps_its_bytes(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_simulate_analytic_column_keeps_its_bytes(tmp_path):
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--rho", "0.5,0.8", "--trials", "50", "--seed", "4",

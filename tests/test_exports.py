@@ -91,17 +91,41 @@ def test_every_public_name_has_a_caller_in_src_or_perfbench():
 LINK_MODELS = {"SimoMiso", "Mimo", "UnitDisk"}
 
 
+def _isinstance_calls(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines of the `isinstance` calls in the tree whose type argument names one of `names`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and names & {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[-1])}
+    ]
+
+
 def test_only_linkmodels_asks_a_link_model_its_type():
     # Model dispatch uses the models' own methods; what a link is, and what
     # it can answer, is decided in `linkmodels` alone.
-    calls = []
-    for module, tree in _trees(SRC).items():
-        if module == "linkmodels.py":
-            continue
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
-                continue
-            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[-1])}
-            if names & LINK_MODELS:
-                calls.append(f"{module}:{node.lineno}")
+    calls = [
+        f"{module}:{line}"
+        for module, tree in _trees(SRC).items()
+        if module != "linkmodels.py"
+        for line in _isinstance_calls(tree, LINK_MODELS)
+    ]
     assert calls == []
+
+
+def test_linkmodels_asks_whether_a_model_reads_beta_r_eta_in_one_place():
+    # the distance check and the support search both ask `_r_eta_overflows`
+    assert len(_isinstance_calls(_trees(SRC)["linkmodels.py"], {"UnitDisk"})) == 1
+
+
+def test_specfun_imports_nothing_from_scipy():
+    # scipy's and math's functions are called directly where they are used;
+    # specfun holds only what they lack
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(_trees(SRC)["specfun.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if name and name.split(".")[0] == "scipy"] == []

@@ -7,8 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from prismconn import specfun
 from prismconn.errors import CapabilityError, ConvergenceError, DomainError
 from prismconn.linkmodels import (
+    H_BLOCK,
     Mimo,
     PathLossParams,
     SimoMiso,
@@ -41,6 +43,11 @@ def test_params_validation():
     with pytest.raises(CapabilityError):
         Mimo(2, 513, P3)  # past the order where the Poisson form stays exact
     assert Mimo(512, 2, P3).n == 512
+    # the oracle forms' own orders: each incomplete gamma is called at order >= 1
+    with pytest.raises(DomainError, match="antenna counts must be positive"):
+        pair_connectedness_mimo_det(0, 3, P3, 1.0)
+    with pytest.raises(DomainError, match="gamma form requires n >= 2"):
+        mimo_gamma_form(1, P3, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -413,7 +420,7 @@ def test_support_bound_is_the_first_power_of_two_below_the_floor():
 def test_h_where_r_to_the_eta_overflows_is_a_domain_error(make):
     # r^4 = 8.1e309 is past the doubles, but beta r^4 = 0.81: SISO's exp(-inf)
     # would read 0 where H is 0.445, so every model refuses, with one line from
-    # beta * r^eta itself and no numpy warning
+    # the distance check and no numpy warning
     model = make(PathLossParams(1e-310, 4.0, 2))
     message = r"^beta \* r\^eta is past the doubles for PathLossParams"
     assert pair_connectedness(model, 1e77) > 0.0
@@ -421,6 +428,60 @@ def test_h_where_r_to_the_eta_overflows_is_a_domain_error(make):
         pair_connectedness(model, 3e77)
     with pytest.raises(DomainError, match=message):
         pair_connectedness_many(model, [1.0, 3e77])
+
+
+_LAST_DISTANCE = {
+    "nan": (math.nan, r"^distances must be non-negative finite reals$"),
+    "negative": (-1.0, r"^distances must be non-negative finite reals$"),
+    "overflowing": (1e200, r"^beta \* r\^eta is past the doubles for PathLossParams"),
+}
+
+
+def _array_entry_points(r):
+    return [
+        lambda: pair_connectedness_many(Siso(P3), r),
+        lambda: pair_connectedness_mimo_det(2, 3, P3, r),
+        lambda: mimo_gamma_form(3, P3, r),
+    ]
+
+
+@pytest.mark.parametrize("last", list(_LAST_DISTANCE))
+def test_an_array_is_refused_before_any_of_it_is_evaluated(last, monkeypatch):
+    # the last of three H blocks ends in a distance H cannot take: one pass
+    # over the whole array refuses it before any block's H runs, or either
+    # oracle form's beta * r^eta
+    value, message = _LAST_DISTANCE[last]
+    r = np.full(2 * H_BLOCK + 1, 0.5)
+    r[-1] = value
+    evaluated = []
+    monkeypatch.setattr(SimoMiso, "h", lambda self, r: evaluated.append(("h", r.size)))
+    monkeypatch.setattr(PathLossParams, "x", lambda self, r: evaluated.append(("x", r.size)))
+    for entry in _array_entry_points(r):
+        with pytest.raises(DomainError, match=message):
+            entry()
+    assert evaluated == []
+
+
+def test_each_entry_point_reads_an_array_once(monkeypatch):
+    # one min and one max over the distances, and one overflow probe at the max
+    reads, probes = [], []
+    checked_max, overflows = specfun._checked_max, PathLossParams.r_eta_overflows
+
+    def read(x):
+        reads.append(np.size(x))
+        return checked_max(x)
+
+    def probe(self, r):
+        probes.append(r)
+        return overflows(self, r)
+
+    monkeypatch.setattr(specfun, "_checked_max", read)
+    monkeypatch.setattr(PathLossParams, "r_eta_overflows", probe)
+    r = np.linspace(0.0, 3.0, 2 * H_BLOCK + 1)
+    for entry in _array_entry_points(r):
+        entry()
+    assert reads == [r.size] * 3
+    assert probes == [3.0] * 3
 
 
 def test_support_radius_past_the_doubles_is_a_convergence_error():

@@ -437,9 +437,9 @@ def test_trial_evaluates_h_on_few_of_its_pairs_in_range(monkeypatch):
     in_range, evaluated = [], []
     original_check, original_many = mc_sim._check_distance, mc_sim.pair_connectedness_many
 
-    def spy_check(r):
+    def spy_check(model, r):
         in_range.append(np.size(r))
-        return original_check(r)
+        return original_check(model, r)
 
     def spy_many(model, r, *args, **kwargs):
         evaluated.append(np.size(r))

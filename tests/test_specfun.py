@@ -1,7 +1,11 @@
 """Special-function tests against independent oracles.
 
-Derived expected values below were computed once with the stated oracle
-(re-run here) and frozen as literals.
+`specfun`'s own functions, and the log-gammas and regularized incomplete
+gammas the link models take from `math` and `scipy.special`, read through
+the models that call them: Q(m, x) is `SimoMiso(m).h`, 1 - P(n, x) the
+determinant form's m = 1 branch, at x = beta r^eta, and Gamma ratios sit in
+the closed-form moments.  Derived expected values below were computed once
+with the stated oracle (re-run here) and frozen as literals.
 """
 
 import math
@@ -14,13 +18,15 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from prismconn.errors import DomainError
-from prismconn.specfun import (
-    gauss_2f1,
-    log_gamma,
-    poisson_head,
-    regularized_lower_gamma,
-    regularized_upper_gamma,
+from prismconn.linkmodels import (
+    Mimo,
+    PathLossParams,
+    SimoMiso,
+    pair_connectedness,
+    pair_connectedness_many,
+    pair_connectedness_mimo_det,
 )
+from prismconn.specfun import gauss_2f1, poisson_head
 
 # ---------------------------------------------------------------- oracles
 
@@ -85,32 +91,49 @@ def hyp2f1_tight_oracle(a, b, c, z):
     return (1.0 - z) ** (-b) * total
 
 
+def exactly_at(x):
+    """Path loss and a distance r at which beta * r^eta is exactly x: beta = x at r = 1."""
+    return (PathLossParams(x, 2.0), 1.0) if x > 0.0 else (PathLossParams(1.0, 2.0), 0.0)
+
+
+def upper_q(m, x):
+    """Q(m, x) as `SimoMiso(m).h` reads it."""
+    params, r = exactly_at(x)
+    return pair_connectedness(SimoMiso(m, params), r)
+
+
+def lower_p(n, x):
+    """P(n, x) as one minus the determinant form's m = 1 branch."""
+    params, r = exactly_at(x)
+    return 1.0 - pair_connectedness_mimo_det(1, n, params, r)
+
+
 # ---------------------------------------------------------- point values
 
 
 def test_lower_gamma_trivial_points():
-    assert regularized_lower_gamma(1.0, 0.0) == 0.0
-    assert regularized_lower_gamma(1.0, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-14)
+    assert lower_p(1, 0.0) == 0.0
+    assert lower_p(1, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-14)
 
 
 def test_lower_gamma_derived_value():
     frozen = 0.5939941502901616  # from lower_gamma_series_oracle(2, 2)
     assert lower_gamma_series_oracle(2.0, 2.0) == pytest.approx(frozen, rel=1e-13)
-    assert regularized_lower_gamma(2.0, 2.0) == pytest.approx(frozen, rel=1e-13)
+    assert lower_p(2, 2.0) == pytest.approx(frozen, rel=1e-13)
 
 
 def test_upper_gamma_trivial_points():
     for x0 in (0.3, 1.0, 4.2):
-        assert regularized_upper_gamma(1.0, x0) == pytest.approx(math.exp(-x0), rel=1e-13)
-    assert regularized_upper_gamma(3.0, 0.0) == 1.0
+        assert upper_q(1, x0) == pytest.approx(math.exp(-x0), rel=1e-13)
+    assert upper_q(3, 0.0) == 1.0
     # Gamma(200) passes the doubles; the regularized value stays in [0, 1]
-    assert regularized_upper_gamma(200.0, 0.0) == 1.0
+    assert upper_q(200, 0.0) == 1.0
 
 
 def test_upper_gamma_derived_value():
-    frozen = 0.8488767894583206  # from upper_gamma_quadrature_oracle(2.5, 1.7)
-    assert upper_gamma_quadrature_oracle(2.5, 1.7) == pytest.approx(frozen, rel=1e-11)
-    assert regularized_upper_gamma(2.5, 1.7) * math.gamma(2.5) == pytest.approx(frozen, rel=1e-12)
+    frozen = 1.5144464143971699  # from upper_gamma_quadrature_oracle(3, 1.7)
+    assert upper_gamma_quadrature_oracle(3.0, 1.7) == pytest.approx(frozen, rel=1e-11)
+    assert upper_q(3, 1.7) * math.gamma(3.0) == pytest.approx(frozen, rel=1e-12)
 
 
 def test_gauss_2f1_trivial_points():
@@ -125,23 +148,33 @@ def test_gauss_2f1_derived_value():
 
 
 def test_log_gamma_trivial_points():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+    # Mimo(2, 2).moment(d) = (nu^2 + nu + 2 - 2^-nu) Gamma(nu) / (beta^nu eta), nu = d / eta
+    assert Mimo(2, 2, PathLossParams(1.0, 2.0, 2)).moment(2) == 1.75  # Gamma(1) = 1
+    root_pi = math.sqrt(math.pi)  # Gamma(1/2)
+    assert Mimo(2, 2, PathLossParams(1.0, 2.0, 1)).moment(1) == pytest.approx(
+        (2.75 - math.sqrt(0.5)) * root_pi / 2.0, rel=1e-14
+    )
 
 
 def test_log_gamma_cross_implementations():
-    for a in (0.7, 1.0, 2.5, 7.3, 19.0, 55.5):
-        got = log_gamma(a)
-        lanczos = lanczos_log_gamma_oracle(a)
-        stirling = stirling_log_gamma_oracle(a)
-        assert lanczos == pytest.approx(stirling, rel=1e-12, abs=1e-13)
-        assert got == pytest.approx(lanczos, rel=1e-12, abs=1e-13)
+    # SimoMiso(m).moment(d) = Gamma(m + nu) / (Gamma(m) beta^nu d), nu = d / eta
+    for m in (1, 2, 7, 19, 55):
+        for d, eta in ((1, 2.0), (2, 3.0), (3, 2.0), (3, 4.5)):
+            nu = d / eta
+            got = SimoMiso(m, PathLossParams(1.0, eta, d)).moment(d)
+            lanczos = lanczos_log_gamma_oracle(m + nu) - lanczos_log_gamma_oracle(m)
+            stirling = stirling_log_gamma_oracle(m + nu) - stirling_log_gamma_oracle(m)
+            assert lanczos == pytest.approx(stirling, rel=1e-12, abs=1e-13)
+            assert got == pytest.approx(math.exp(lanczos) / d, rel=1e-12)
 
 
 def test_log_gamma_factorials():
-    for n in range(1, 21):
-        assert math.exp(log_gamma(n + 1.0)) == pytest.approx(
-            math.factorial(n), rel=1e-12
+    # at d = 1, eta = 2: Gamma(m + 1/2) / Gamma(m) = (2m)! sqrt(pi) / (4^m m! (m - 1)!)
+    params = PathLossParams(1.0, 2.0, 1)
+    for m in range(1, 21):
+        ratio = math.factorial(2 * m) / (4**m * math.factorial(m) * math.factorial(m - 1))
+        assert SimoMiso(m, params).moment(1) == pytest.approx(
+            ratio * math.sqrt(math.pi), rel=1e-12
         )
 
 
@@ -149,56 +182,65 @@ def test_log_gamma_factorials():
 
 
 def test_recurrence_identity():
-    for a in np.linspace(0.5, 50.0, 12):
-        for x in np.linspace(0.0, 100.0, 15):
-            a, x = float(a), float(x)
-            step = 0.0 if x == 0.0 else math.exp(
-                a * math.log(x) - x - math.lgamma(a + 1.0)
-            )
-            lhs = regularized_lower_gamma(a + 1.0, x)
-            rhs = regularized_lower_gamma(a, x) - step
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+    # Q(m + 1, x) = Q(m, x) + x^m e^-x / m!
+    for m in np.linspace(1, 50, 12).round().astype(int).tolist():
+        for x in np.linspace(0.0, 100.0, 15).tolist():
+            step = 0.0 if x == 0.0 else math.exp(m * math.log(x) - x - math.lgamma(m + 1.0))
+            assert upper_q(m + 1, x) == pytest.approx(upper_q(m, x) + step, abs=1e-12)
 
 
 def test_complementarity():
-    for a in (0.5, 1.0, 3.7, 12.0, 40.0):
+    for n in (1, 4, 12, 40):
         for x in (0.0, 0.2, 1.0, 5.0, 30.0, 120.0):
-            p = regularized_lower_gamma(a, x)
-            assert p + regularized_upper_gamma(a, x) == pytest.approx(1.0, abs=1e-13)
+            assert lower_p(n, x) + upper_q(n, x) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_monotonicity_in_x():
     rng = np.random.default_rng(42)
-    for a in (0.5, 2.0, 9.0, 33.0):
-        xs = np.sort(rng.uniform(0.0, 4.0 * a, size=60))
-        values = [regularized_lower_gamma(a, float(x)) for x in xs]
-        assert all(b >= a_ - 1e-15 for a_, b in zip(values, values[1:]))
-        assert all(0.0 <= v <= 1.0 for v in values)
+    params = PathLossParams(1.0, 2.0)
+    for m in (1, 2, 9, 33):
+        rs = np.sqrt(np.sort(rng.uniform(0.0, 4.0 * m, size=60)))
+        for values in (
+            pair_connectedness_many(SimoMiso(m, params), rs).tolist(),
+            [pair_connectedness_mimo_det(1, m, params, r) for r in rs.tolist()],
+        ):
+            assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+            assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_incomplete_gammas_against_mpmath():
+    # the integer orders at or above a former grid of real ones, each x as
+    # beta * r^eta rounds it at r = sqrt(x)
     rng = np.random.default_rng(19)
+    params = PathLossParams(1.0, 2.0)
     with mpmath.workdps(30):
         for _ in range(60):
-            a = float(rng.uniform(0.1, 60.0))
-            x = float(rng.uniform(0.0, 120.0))
-            expected = {
-                regularized_lower_gamma: mpmath.gammainc(a, 0, x, regularized=True),
-                regularized_upper_gamma: mpmath.gammainc(a, x, mpmath.inf, regularized=True),
-            }
-            for fn, ref in expected.items():
-                assert fn(a, x) == pytest.approx(float(ref), rel=1e-12, abs=1e-14)
+            m = math.ceil(rng.uniform(0.1, 60.0))
+            r = math.sqrt(rng.uniform(0.0, 120.0))
+            x = float(params.x(r))
+            upper = float(mpmath.gammainc(m, x, mpmath.inf, regularized=True))
+            assert pair_connectedness(SimoMiso(m, params), r) == pytest.approx(
+                upper, rel=1e-12, abs=1e-14
+            )
+            lower = float(mpmath.gammainc(m, 0, x, regularized=True))
+            assert 1.0 - pair_connectedness_mimo_det(1, m, params, r) == pytest.approx(
+                lower, rel=1e-12, abs=1e-14
+            )
 
 
 def test_incomplete_gammas_take_arrays():
-    xs = np.array([0.0, 0.3, 2.0, 7.5, 40.0])
-    for fn in (regularized_lower_gamma, regularized_upper_gamma):
-        got = fn(3.0, xs)
-        assert isinstance(got, np.ndarray) and got.shape == xs.shape
-        assert got.tolist() == [float(fn(3.0, float(x))) for x in xs]
+    params = PathLossParams(1.0, 2.0)
+    rs = np.sqrt([0.0, 0.3, 2.0, 7.5, 40.0])
+    for fn in (
+        lambda r: pair_connectedness_many(SimoMiso(3, params), r),
+        lambda r: pair_connectedness_mimo_det(1, 3, params, r),
+    ):
+        got = fn(rs)
+        assert isinstance(got, np.ndarray) and got.shape == rs.shape
+        assert got.tolist() == [float(fn(np.array(r))) for r in rs]
         for bad in (np.array([1.0, -0.5]), np.array([1.0, math.nan]), np.array([math.inf])):
             with pytest.raises(DomainError):
-                fn(3.0, bad)
+                fn(bad)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -262,18 +304,6 @@ def test_gauss_2f1_against_scipy():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        regularized_lower_gamma(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        regularized_lower_gamma(1.0, -0.5)
-    with pytest.raises(DomainError):
-        regularized_lower_gamma(math.inf, 1.0)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(0.0, 1.0)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
-    with pytest.raises(DomainError):
         gauss_2f1(1.0, 1.0, -2.0, -0.5)
     with pytest.raises(DomainError):
         gauss_2f1(1.0, 1.0, 3.0, -1.5)
@@ -282,6 +312,4 @@ def test_domain_errors():
 
 
 def test_config_validation():
-    assert regularized_lower_gamma(2.0, 2.0) == pytest.approx(
-        0.5939941502901616, rel=1e-5
-    )
+    assert lower_p(2, 2.0) == pytest.approx(0.5939941502901616, rel=1e-5)
