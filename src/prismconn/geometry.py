@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,20 @@ class RightPrism:
     def contains(self, point) -> bool:
         return bool(self.contains_many([point])[0])
 
+    @cached_property
+    def _fan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The base fan-triangulated from vertex 0: (origin, legs a, legs b,
+        triangle weights), built once per prism and read-only."""
+        verts = np.asarray(self.base_vertices, dtype=float)
+        origin = verts[0]
+        leg_a = verts[1:-1] - origin
+        leg_b = verts[2:] - origin
+        areas = 0.5 * (leg_a[:, 0] * leg_b[:, 1] - leg_a[:, 1] * leg_b[:, 0])
+        fan = origin, leg_a, leg_b, areas / areas.sum()
+        for array in fan:
+            array.setflags(write=False)
+        return fan
+
 
 @dataclass(frozen=True)
 class BoundaryFeature:
@@ -263,19 +278,15 @@ def sample_uniform_rng(
 ) -> np.ndarray:
     """Draw `count` i.i.d. uniform points in the prism from an existing rng.
 
-    The convex base is fan-triangulated from vertex 0; a triangle is chosen
-    with probability proportional to its area and a point placed by the
-    reflected-barycentric construction, with the height drawn independently.
-    Returns an array of shape (count, 3).
+    The convex base is fan-triangulated from vertex 0 (once per prism); a
+    triangle is chosen with probability proportional to its area and a point
+    placed by the reflected-barycentric construction, with the height drawn
+    independently.  Returns an array of shape (count, 3).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    verts = np.asarray(prism.base_vertices, dtype=float)
-    origin = verts[0]
-    leg_a = verts[1:-1] - origin
-    leg_b = verts[2:] - origin
-    areas = 0.5 * (leg_a[:, 0] * leg_b[:, 1] - leg_a[:, 1] * leg_b[:, 0])
-    tri = rng.choice(areas.size, size=count, p=areas / areas.sum())
+    origin, leg_a, leg_b, weights = prism._fan
+    tri = rng.choice(weights.size, size=count, p=weights)
     uv = rng.random((count, 2))
     flip = uv.sum(axis=1) > 1.0
     uv[flip] = 1.0 - uv[flip]

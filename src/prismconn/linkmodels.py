@@ -309,8 +309,11 @@ def _r_eta_overflows(model: ConnectionModel, r: float) -> bool:
 
 
 def _below_floor(model: ConnectionModel, r: float) -> bool:
-    """H(r) is below the floor, or beta * r^eta is past the doubles, where H is not read."""
-    return _r_eta_overflows(model, r) or pair_connectedness(model, r) < _LINK_PROB_FLOOR
+    """H(r) is below the floor, or beta * r^eta is past the doubles, where H is not read.
+
+    r is a positive finite double, so the one probe is H's whole check.
+    """
+    return _r_eta_overflows(model, r) or model.h(float(r)) < _LINK_PROB_FLOOR
 
 
 def _support_bound(model: ConnectionModel) -> float:

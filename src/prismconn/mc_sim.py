@@ -47,10 +47,12 @@ __all__ = [
 
 _EXACT_MAX_NODES = 12
 # Uniforms per chunk of edge resampling (512 KB of float64).  Measured with
-# tracemalloc, a resample peaks at 11 to 12 bytes per pair from 10 to 64
-# nodes (8 for its uniforms, 1 for its link bits, about 2 for its adjacency)
-# and at 20 at 2 nodes, where its per-node arrays count: a call peaks at
-# 0.8 to 1.3 MB until, from 257 nodes, a chunk holds one resample.
+# tracemalloc, a call peaks at 0.6 to 0.8 MB from 2 to 64 nodes, mostly the
+# chunk's uniforms, whose buffer then holds their shifted link bits.  From
+# 257 nodes a chunk holds one resample and a block one word, and a call
+# peaks at about 66 bytes per pair (2.2 MB at 258 nodes): the n x n index
+# table, adjacency words and masked adjacency (16 each; the uniforms share
+# the last one's buffer), H and the block's words (8 each).
 _RESAMPLE_UNIFORMS = 1 << 16
 # The most (S, T) entries the exact oracle tabulates at once.  Only levels
 # from 11 nodes up are split; at 12 nodes a call peaks at 1.4 MB, where one
@@ -445,6 +447,8 @@ def _subset_recursion(q: np.ndarray) -> np.ndarray:
     for b in range(n):
         miss[:, :, 1 << b : 2 << b] = miss[:, :, : 1 << b] * q[:, :, b : b + 1]
         popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+    # miss[:, i, mask] is flat[:, (i << n) + mask]: one `take` per bit.
+    flat = miss.reshape(stack, n << n)
 
     # One pass per subset size L, all masks S of that size at once; f of
     # every smaller subset is final by then.  The submasks T of S holding
@@ -452,27 +456,62 @@ def _subset_recursion(q: np.ndarray) -> np.ndarray:
     # L - 1 bits: choice j takes bit k + 1 when bit k of j is set.  Rows run
     # j = 2^(L-1) - 2 down to 0 (T = S left out), T descending, and terms
     # are taken left to right, so each f(S) is the same float sum as a
-    # descending walk over submasks.  Each mask is one column, so a level
-    # runs in blocks of columns of at most `_EXACT_BLOCK` entries across the
-    # stack with the same float operations.
+    # descending walk over submasks.  A row's cut multiplies in the factor
+    # of each bit it chooses, in bit order, and skips the others.  Each mask
+    # is one column, so a level runs in blocks of columns of at most
+    # `_EXACT_BLOCK` entries across the stack with the same float operations.
     f = np.zeros((stack, 1 << n))
     f[:, popcount == 1] = 1.0
     for size in range(2, n + 1):
         level = np.flatnonzero(popcount == size)
         choice = np.arange((1 << (size - 1)) - 2, -1, -1)[:, None]
-        select = choice >> np.arange(size - 1) & 1
+        select = (choice >> np.arange(size - 1) & 1).astype(bool)
         cols = max(1, _EXACT_BLOCK // (stack * len(select)))
         for start in range(0, len(level), cols):
             masks = level[start : start + cols]
             bits = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, size)
             subs = (1 << bits[:, 0]) + select @ (1 << bits[:, 1:]).T
             rest = masks ^ subs
-            cut = miss[:, bits[:, 0], rest]
+            cut = np.take(flat, (bits[:, 0] << n) + rest, axis=1)
             for k in range(1, size):
-                cut *= np.where(select[:, k - 1 : k], miss[:, bits[:, k], rest], 1.0)
+                factor = np.take(flat, (bits[:, k] << n) + rest, axis=1)
+                np.multiply(cut, factor, out=cut, where=select[:, k - 1 : k])
             terms = np.concatenate((np.ones((stack, 1, len(masks))), -(f[:, subs] * cut)), axis=1)
             f[:, masks] = np.cumsum(terms, axis=1)[:, -1]
     return np.clip(f[:, -1], 0.0, 1.0)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """The number of set bits in a contiguous uint64 array."""
+    return int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+
+
+def _block_counts(block: np.ndarray, index: np.ndarray, scratch: np.ndarray) -> tuple[int, int]:
+    """(connected, linked nodes) over a block of bit-sliced resamples.
+
+    `block` holds one row of link words per 64 resamples, a column per
+    pair and a last column of 0; bits past the resamples drawn are 0.
+    `index` is the n x n table of each adjacency entry's column, and
+    `scratch` a uint64 buffer of at least block rows x n^2 entries.
+    Returns the resamples whose graph is connected, and the sum over
+    resamples of the nodes with a link.  Each round ORs into every node's
+    reach the reach of its neighbours, one AND and one OR reduction over
+    the block, until no reach grows: at most n - 1 rounds.
+    """
+    adj = block.take(index, axis=1)
+    masked = scratch[: adj.size].reshape(adj.shape)
+    linked = _popcount(np.bitwise_or.reduce(adj, axis=2))
+    reach = np.zeros(adj.shape[:2], dtype=np.uint64)
+    reach[:, 0] = ~np.uint64(0)
+    for _ in range(len(index) - 1):
+        np.bitwise_and(adj, reach[:, None, :], out=masked)
+        grown = np.bitwise_or.reduce(masked, axis=2)
+        grown |= reach
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    # Node 0 holds every bit, the others only bits of resamples drawn.
+    return _popcount(np.bitwise_and.reduce(reach, axis=1)), linked
 
 
 def edge_resampling_estimate(
@@ -482,10 +521,14 @@ def edge_resampling_estimate(
 
     Each resample draws one uniform per pair, in `pdist` order, from one
     stream seeded by `seed`; pair (i, j) links when its uniform is below
-    H.  Resamples run in chunks of about `_RESAMPLE_UNIFORMS` uniforms, one
-    resample at least: per chunk the uniforms, a table of their link bits
-    and the n x n adjacencies gathered from it, so the working set does not
-    grow with `resamples` (about 1 MB below 257 nodes).  The stream is read
+    H.  The resamples are bit-sliced: bit r of a pair's uint64 word holds
+    its link in resample r of that word, so a reachability round over a
+    block of words is one AND and one OR reduction (`_block_counts`), and
+    the connected and isolated counts are popcounts.  Uniforms are drawn in
+    chunks of about `_RESAMPLE_UNIFORMS`, one resample at least, each row
+    packed into its bit as it is drawn; a block holds as many whole words
+    as a chunk fills, one at least.  So the working set does not grow with
+    `resamples` (0.7 MB at 10 nodes, 2.2 MB at 258), and the stream is read
     in the same order whatever the chunk size, so results do not depend on
     it.
     """
@@ -498,35 +541,50 @@ def edge_resampling_estimate(
     h = pair_connectedness_many(model, pdist(pts))
     pairs = h.size
 
-    # Column of each adjacency entry in a row of link bits: (i, j) and
+    # Column of each adjacency entry in a block of link words: (i, j) and
     # (j, i) map to their pair's `pdist` column, the diagonal to the last
-    # column, which stays False.
+    # column, which stays 0.
     index = squareform(np.arange(pairs))
     np.fill_diagonal(index, pairs)
-    index = index.ravel()
 
-    chunk = max(1, min(resamples, _RESAMPLE_UNIFORMS // pairs))
-    u = np.empty((chunk, pairs))
-    links = np.zeros((chunk, pairs + 1), dtype=bool)
-    ones = np.ones((n, 1), dtype=bool)
+    per_chunk = max(1, _RESAMPLE_UNIFORMS // pairs)
+    words = max(1, min(per_chunk // 64, -(-resamples // 64)))
+    chunk = min(per_chunk, 64 * words, resamples)
+    # One buffer holds a chunk's uniforms, then their shifted link bits, and
+    # once a block is drawn, its adjacency masked by the nodes reached.
+    work = np.empty(max(chunk * pairs, words * n * n), dtype=np.uint64)
+    u = work[: chunk * pairs].view(float).reshape(chunk, pairs)
+    links = np.empty((chunk, pairs), dtype=bool)
+    block = np.empty((words, pairs + 1), dtype=np.uint64)
+    lanes = np.arange(64, dtype=np.uint64)[:, None]  # each row's bit in its word
     connected = 0
     isolated_total = 0
     done = 0
     while done < resamples:
-        size = min(chunk, resamples - done)
-        np.less(rng.random(out=u[:size]), h, out=links[:size, :pairs])
-        adj = links[:size].take(index, axis=1).reshape(size, n, n)
-        # The bool product's row is False where a node has no link; about
-        # twice as fast as `any` along the short last axis.
-        isolated_total += size * n - int(np.count_nonzero(adj @ ones))
-        reach = np.zeros((size, n, 1), dtype=bool)
-        reach[:, 0] = True
-        for _ in range(n - 1):
-            grown = adj @ reach | reach
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        connected += int(reach.all(axis=1).sum())
+        size = min(64 * words, resamples - done)
+        block.fill(0)
+        for start in range(0, size, chunk):
+            rows = min(chunk, size - start)
+            np.less(rng.random(out=u[:rows]), h, out=links[:rows])
+            # Row r's links go to bit (start + r) % 64 of word (start + r) // 64,
+            # shifted in the spent uniforms' buffer and OR-ed into their words.
+            # A chunk of 64 rows or more is its block's only one: its whole
+            # words first, then any part of the next.  A smaller one lies in
+            # the block's one word.
+            bits = u[:rows].view(np.uint64)
+            full = rows >> 6
+            if full:
+                whole = bits[: 64 * full].reshape(full, 64, pairs)
+                np.left_shift(links[: 64 * full].reshape(whole.shape), lanes, out=whole)
+                np.bitwise_or.reduce(whole, axis=1, out=block[:full, :pairs])
+            if rows > 64 * full:
+                lane = start & 63
+                part = bits[64 * full :]
+                np.left_shift(links[64 * full : rows], lanes[lane : lane + len(part)], out=part)
+                block[full, :pairs] |= np.bitwise_or.reduce(part, axis=0)
+        ok, linked_nodes = _block_counts(block[: -(-size // 64)], index, work)
+        connected += ok
+        isolated_total += size * n - linked_nodes
         done += size
     low, high = wilson_interval(connected, resamples)
     return McEstimate(

@@ -20,6 +20,7 @@ from prismconn.geometry import (
     preset_prism,
     prism_from_dict,
     sample_uniform,
+    sample_uniform_rng,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -336,6 +337,45 @@ def test_sampling_chi_square_uniformity():
                 expected.append(probs[roof] * 100_000)
     chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     assert chi2 < stats.chi2.ppf(0.999, df=7)
+
+
+def rebuilt_fan_sample(prism, count, rng):
+    """`sample_uniform_rng` with the fan triangulation rebuilt on every call."""
+    verts = np.asarray(prism.base_vertices, dtype=float)
+    origin = verts[0]
+    leg_a = verts[1:-1] - origin
+    leg_b = verts[2:] - origin
+    areas = 0.5 * (leg_a[:, 0] * leg_b[:, 1] - leg_a[:, 1] * leg_b[:, 0])
+    tri = rng.choice(areas.size, size=count, p=areas / areas.sum())
+    uv = rng.random((count, 2))
+    flip = uv.sum(axis=1) > 1.0
+    uv[flip] = 1.0 - uv[flip]
+    xy = origin + uv[:, :1] * leg_a[tri] + uv[:, 1:] * leg_b[tri]
+    z = rng.uniform(0.0, prism.height, size=count)
+    return np.column_stack([xy, z])
+
+
+HEXAGON_JSON = """{"base_vertices": [[0, 0], [2, -1], [4, 0], [4.5, 2], [2, 3.25], [-0.5, 1.5]],
+                   "height": 1.75}"""
+
+
+@pytest.mark.parametrize(
+    "prism",
+    [house_prism(7.0), cube_prism(2.0), prism_from_dict(json.loads(HEXAGON_JSON))],
+    ids=["house", "cube", "json-hexagon"],
+)
+def test_sampling_with_the_fan_built_once_keeps_its_draws(prism):
+    # The same points, bit for bit, and the stream left at the same place,
+    # call after call on one prism, as with the fan rebuilt on every call.
+    for seed in (0, 1, 90210):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (1, 2, 373, 1, 373):
+            np.testing.assert_array_equal(
+                sample_uniform_rng(prism, count, rng), rebuilt_fan_sample(prism, count, reference)
+            )
+        assert rng.random() == reference.random()
+    assert prism._fan is prism._fan
+    assert not any(array.flags.writeable for array in prism._fan)
 
 
 def test_prism_json_round_trip(tmp_path):

@@ -396,12 +396,45 @@ def test_support_radius_is_bracketed_however_far():
         (Mimo(2, 64, PathLossParams(1.0, 4.0, 3)), "0x1.bb9b83c18767ep+1"),
         (Mimo(2, 2, P3), "0x1.792756f334ff0p+2"),  # the house sweep's link
         (UnitDisk(1e300, P3), "0x1.7e43c8800759dp+996"),
+        (Mimo(2, 2, PathLossParams(1.0, 3.0, 3)), "0x1.a19baa47eee74p+1"),
+        (Mimo(2, 2, PathLossParams(0.35, 2.0, 3)), "0x1.3ec0c687692d4p+3"),  # the oracles'
+        (SimoMiso(3, P3), "0x1.7577de6f8b273p+2"),
+        (UnitDisk(1.2, P3), "0x1.3333333333334p+0"),
+        (Siso(PathLossParams(0.5, 4.0, 2)), "0x1.5cfe3484d96bbp+1"),
     ],
-    ids=["simo57", "siso", "mimo64-eta4", "mimo2", "disk1e300"],
+    ids=["simo57", "siso", "mimo64-eta4", "mimo2", "disk1e300", "mimo2-eta3",
+         "mimo2-beta035", "simo3", "disk1.2", "siso-2d-eta4"],
 )
 def test_support_radius_keeps_its_bits(model, bits):
     # McConfig's cutoff, and so every Monte Carlo draw, hangs on these doubles
     assert support_radius(model).hex() == bits
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Mimo(2, 2, PathLossParams(1.0, 3.0, 3)), SimoMiso(57, PathLossParams(0.05, 2.0, 3)),
+     Siso(P3)],
+    ids=["mimo2-eta3", "simo57", "siso"],
+)
+def test_support_radius_probes_each_point_once(model, monkeypatch):
+    # One beta * r^eta probe per point H is read at (113 probes for the MIMO
+    # link when H's own distance check probed each point again), and one
+    # more at the radius found.
+    probes, reads = [], []
+    overflows, h = PathLossParams.r_eta_overflows, type(model).h
+
+    def probe(self, r):
+        probes.append(r)
+        return overflows(self, r)
+
+    def read(self, r):
+        reads.append(r)
+        return h(self, r)
+
+    monkeypatch.setattr(PathLossParams, "r_eta_overflows", probe)
+    monkeypatch.setattr(type(model), "h", read)
+    radius = support_radius(model)
+    assert probes == reads + [radius]
 
 
 def test_support_bound_is_the_first_power_of_two_below_the_floor():

@@ -623,15 +623,23 @@ def cutoff_route(points, model):
     return ii, jj, pair_connectedness_many(model, dists[near])
 
 
-def reference_resampling(n, ii, jj, h, resamples, seed):
-    """(connected, isolated) totals over redraws one at a time, each by BFS."""
+def reference_outcomes(n, ii, jj, h, resamples, seed):
+    """(connected, isolated) of each redraw, one at a time, each by BFS."""
     rng = np.random.default_rng(seed)
-    connected = isolated = 0
+    outcomes = []
     for _ in range(resamples):
         linked = rng.random(h.size) < h
-        connected += bfs_component_count(n, zip(ii[linked], jj[linked])) == 1
-        isolated += n - len(set(ii[linked].tolist()) | set(jj[linked].tolist()))
-    return connected, isolated
+        outcomes.append((
+            int(bfs_component_count(n, zip(ii[linked], jj[linked])) == 1),
+            n - len(set(ii[linked].tolist()) | set(jj[linked].tolist())),
+        ))
+    return outcomes
+
+
+def reference_resampling(n, ii, jj, h, resamples, seed):
+    """(connected, isolated) totals over `reference_outcomes`."""
+    outcomes = reference_outcomes(n, ii, jj, h, resamples, seed)
+    return tuple(sum(column) for column in zip(*outcomes))
 
 
 @pytest.mark.parametrize(
@@ -801,6 +809,50 @@ def test_edge_resampling_does_not_depend_on_chunking(n, monkeypatch):
     )
 
 
+RESAMPLING_HOUSE = {2: 3.0, 3: 3.0, 65: 6.0, 258: 7.0}
+
+
+def resampling_inputs(n):
+    """n nodes in a house of the side `RESAMPLING_HOUSE` gives, where from 65
+    nodes some resamples connect and some do not."""
+    pts = sample_uniform_rng(house_prism(RESAMPLING_HOUSE[n]), n, np.random.default_rng(n))
+    return pts, Mimo(2, 2, PathLossParams(1.0, 2.0, 3))
+
+
+@pytest.mark.parametrize("per_chunk", [None, 5], ids=["default", "5-per-chunk"])
+@pytest.mark.parametrize("n", [2, 3, 65, 258])
+def test_bit_sliced_resampling_matches_bfs_at_word_edges(n, per_chunk, monkeypatch):
+    # Resample counts around one and two 64-bit words: 63 leaves a word's top
+    # bit undrawn, 65 and 129 start a word with one resample.  Five resamples
+    # per chunk end most chunks in the middle of a word; at 258 nodes the
+    # default chunk is one resample.  The first k redraws of one stream are
+    # the first k of any longer run, so one BFS run gives every count.
+    pts, model = resampling_inputs(n)
+    ii, jj, h = cutoff_route(pts, model)
+    if per_chunk:
+        monkeypatch.setattr(mc_sim, "_RESAMPLE_UNIFORMS", per_chunk * h.size)
+    outcomes = reference_outcomes(n, ii, jj, h, 129, n)
+    for resamples in (1, 63, 64, 65, 129):
+        connected, isolated = (sum(c) for c in zip(*outcomes[:resamples]))
+        low, high = wilson_interval(connected, resamples)
+        expected = McEstimate(connected / resamples, resamples, low, high, isolated / resamples)
+        assert edge_resampling_estimate(pts, model, resamples, seed=n) == expected, resamples
+    if n > 3:
+        assert 0 < sum(c for c, _ in outcomes[:63]) < 63
+
+
+@pytest.mark.parametrize("resamples", [1, 64, 129, 5000])
+def test_edge_resampling_of_two_far_clusters_never_connects(resamples):
+    # Coincident nodes link with H = 1 and nodes 30 apart with H = 0, so
+    # every resample is two clusters of 40 and 30 nodes and two lone nodes:
+    # never connected, exactly two isolated nodes each time.
+    model = Mimo(2, 2, P3)
+    nodes = [(1.0, 1.0, 1.0)] * 40 + [(31.0, 1.0, 1.0)] * 30 + [(1.0, 31.0, 1.0), (1.0, 1.0, 31.0)]
+    assert set(np.unique(cutoff_route(nodes, model)[2])) == {0.0, 1.0}
+    estimate = edge_resampling_estimate(nodes, model, resamples, seed=9)
+    assert estimate == McEstimate(0.0, resamples, *wilson_interval(0, resamples), 2.0)
+
+
 def test_exact_oracle_does_not_depend_on_blocking(monkeypatch):
     # 12 nodes: the default splits the largest levels; 1 makes every mask
     # its own block and 2^30 every level one block.
@@ -821,18 +873,23 @@ def test_oracle_working_sets_stay_small():
     # tracemalloc sees numpy's allocations: 10^5 edge resamples at 10 nodes
     # peaked at 11.5 MB, and the exact oracle at 12 nodes at 3.5 MB, when
     # neither ran in bounded chunks.  A stack of 50 five-node sets, the size
-    # `validate` takes, goes through each oracle at once.
+    # `validate` takes, goes through each oracle at once.  From 257 nodes an
+    # edge-resampling block holds one word, whose n x n adjacency words take
+    # the most: 200 resamples at 258 nodes peak at 2.2 MB (1.23 MB with a bool
+    # adjacency per resample).
     rng = np.random.default_rng(7)
     model = Mimo(2, 2, PathLossParams(0.35, 2.0, 3))
     ten, twelve = (sample_uniform_rng(house_prism(3.0), n, rng) for n in (10, 12))
     fives = [sample_uniform_rng(house_prism(3.0), 5, rng) for _ in range(50)]
     q_stack = np.array([_miss_matrix(pts, model) for pts in fives])
     h_stack = np.array([h_matrix(pts, model) for pts in fives])
-    for call in (
-        lambda: edge_resampling_estimate(ten, model, 100_000, seed=3),
-        lambda: exact_connectivity_probability(twelve, model),
-        lambda: _subset_recursion(q_stack),
-        lambda: brute_force_connectivity_probability(h_stack),
+    many, many_model = resampling_inputs(258)
+    for call, bound in (
+        (lambda: edge_resampling_estimate(ten, model, 100_000, seed=3), 2_000_000),
+        (lambda: exact_connectivity_probability(twelve, model), 2_000_000),
+        (lambda: _subset_recursion(q_stack), 2_000_000),
+        (lambda: brute_force_connectivity_probability(h_stack), 2_000_000),
+        (lambda: edge_resampling_estimate(many, many_model, 200, seed=3), 2_500_000),
     ):
         call()  # one-time allocations (numpy, scipy) before measuring
         tracemalloc.start()
@@ -841,7 +898,7 @@ def test_oracle_working_sets_stay_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2_000_000
+        assert peak <= bound
 
 
 def test_edge_resampling_validation():
