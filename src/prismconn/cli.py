@@ -263,6 +263,16 @@ def _link_model(kind: str, k: int, radius: float, pl: PathLossParams):
     return Mimo(2, k, pl) if kind == "mimo" else SimoMiso(1 if kind == "siso" else k, pl)
 
 
+def _expansion_link(pl: PathLossParams) -> Mimo:
+    """The link `pfc` and `simulate` take: the 2x2 MIMO link, at eta = 2 only."""
+    if pl.eta != 2.0:
+        raise CapabilityError(
+            "the per-feature expansion is validated for eta = 2 in three dimensions "
+            f"only, got eta={pl.eta}, dim={pl.dim}"
+        )
+    return Mimo(2, 2, pl)
+
+
 def cmd_mass(args) -> int:
     """Homogeneous connectivity mass sweeps."""
     params = _resolve(args, required=("model",))
@@ -296,13 +306,13 @@ def cmd_pfc(args) -> int:
     """Analytic connectivity probability curves."""
     params = _resolve(args, required=("rho",))
     prism = _build_prism(params)
-    pl = PathLossParams(params["beta"], params["eta"], 3)
+    model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
     header = [
         "rho", "p_fc", "p_out", "in_regime",
         "p_fc_bulk", "p_fc_bulk_faces", "p_fc_bulk_faces_edges",
         "term_corners", "term_edges", "term_faces", "term_bulk",
     ]
-    breakdowns = pfc_analytic.assemble(prism, pl, params["rho"])
+    breakdowns = pfc_analytic.assemble(prism, model, params["rho"])
     rows = []
     for b in breakdowns:
         terms = b.class_terms
@@ -324,9 +334,8 @@ def cmd_simulate(args) -> int:
     """Monte Carlo estimates across a density grid."""
     params = _resolve(args, required=("rho", "seed"))
     prism = _build_prism(params)
-    pl = PathLossParams(params["beta"], params["eta"], 3)
-    model = pfc_analytic.link(pl)
-    breakdowns = pfc_analytic.assemble(prism, pl, params["rho"])
+    model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
+    breakdowns = pfc_analytic.assemble(prism, model, params["rho"])
     header = [
         "rho", "n_nodes", "trials", "p_fc_hat", "ci_low", "ci_high",
         "mean_isolated", "p_fc_analytic",

@@ -6,7 +6,7 @@ min(n_t, n_r) = 2, and the unit-disk hard threshold.  SISO is SIMO/MISO
 with m = 1.  Each model owns its H as an `h(r)` method that takes a scalar
 or an array of checked distances; the entry points below are thin wrappers
 over it, and each checks its distances in one pass (`_check_distance`).
-The fading models also own the closed forms of H's radial moments,
+Every model also owns the closed forms of H's radial moments,
 `moment(d)` = integral_0^inf r^(d-1) H(r) dr: the homogeneous mass M' is
 `moment(params.dim)`, and the boundary expansion's J and I0 are `moment(2)`
 and `moment(1)`.  The MIMO connectedness is also available in two further
@@ -202,6 +202,14 @@ class UnitDisk:
     def h(self, r):
         return (r < self.radius) * 1.0 + (r == self.radius) * math.exp(-self.params.beta)
 
+    def moment(self, d: int) -> float:
+        """integral_0^inf r^(d-1) H(r) dr = radius^d / d."""
+        try:
+            value = self.radius**d / d
+        except OverflowError:  # radius^d passes the doubles
+            value = math.inf
+        return _finite_mass(value, "UnitDisk.moment")
+
 
 ConnectionModel = Union[SimoMiso, Mimo, UnitDisk]
 
@@ -342,13 +350,12 @@ def support_radius(model: ConnectionModel) -> float:
     its true value.
     """
     hi = _support_bound(model)
-    lo, mid = 0.0, 0.5 * hi
-    while lo < mid < hi:  # until lo and hi are adjacent doubles
+    lo = 0.5 * hi if hi > 1.0 else 0.0  # `_support_bound` read H above the floor at hi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent doubles
         if _below_floor(model, mid):
             hi = mid
         else:
             lo = mid
-        mid = 0.5 * (lo + hi)
     if _r_eta_overflows(model, hi):
         raise DomainError(f"beta * r^eta overflows before H of {model} falls below the floor")
     return hi

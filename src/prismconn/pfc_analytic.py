@@ -9,11 +9,10 @@ where M' = integral r^2 H dr is the homogeneous mass of connectivity of the
 link.  For an isotropic H the geometric factors follow from one more moment,
 J = integral r H dr: with g = 1 / (2 pi J), a face has G = g, an edge of
 opening angle theta 4 g^2 / sin(theta) and a corner 32 pi g^3 /
-(theta sin(theta)).  The expansion is validated for one link only, the 2x2
-MIMO link with free-space path loss (eta = 2) in three dimensions, and
-`link` owns it: it refuses any other path loss and returns that link, whose
-closed-form `moment(3)` and `moment(2)` are M' and J, to the expansion and
-to any caller that simulates the network it describes.  `assemble`
+(theta sin(theta)).  Every per-feature factor reads the link only through
+these two closed-form moments, M' = `model.moment(3)` and J =
+`model.moment(2)`, so the library takes any link model in three
+dimensions; which links a command accepts is the CLI's to decide.  `assemble`
 evaluates each feature's term once per density and keeps the per-class sums
 beside P_fc.  The first-order expansion may go negative at low density;
 values are reported as-is with an out-of-regime flag rather than clamped.
@@ -25,31 +24,20 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .geometry import BoundaryFeature, RightPrism, enumerate_features
-from .linkmodels import Mimo, PathLossParams
+from .linkmodels import ConnectionModel, Mimo, PathLossParams
 
 __all__ = [
     "FeatureContribution",
     "PfcBreakdown",
     "assemble",
     "feature_contribution",
-    "link",
 ]
 
 _MIN_SCALE = 5.0  # derivations assume sqrt(beta) * feature length >> 1
 
 _CLASS_NAMES = {3: "corners", 2: "edges", 1: "faces", 0: "bulk"}
-
-
-def link(params: PathLossParams) -> Mimo:
-    """The 2x2 MIMO link the expansion is validated for, at eta = 2 in 3D only."""
-    if params.eta != 2.0 or params.dim != 3:
-        raise CapabilityError(
-            "the per-feature expansion is validated for eta = 2 in three dimensions "
-            f"only, got eta={params.eta}, dim={params.dim}"
-        )
-    return Mimo(2, 2, params)
 
 
 @dataclass(frozen=True)
@@ -107,11 +95,10 @@ class FeatureContribution:
         }
 
 
-def feature_contribution(
-    feature: BoundaryFeature, params: PathLossParams
-) -> FeatureContribution:
+def feature_contribution(feature: BoundaryFeature, model: ConnectionModel) -> FeatureContribution:
     """Geometric factor, exponent rate, and density power for one feature."""
-    model = link(params)
+    if model.params.dim != 3:
+        raise DomainError(f"the prism expansion is three-dimensional, got dim={model.params.dim}")
     mass, g = model.moment(3), 1.0 / (2.0 * math.pi * model.moment(2))
     try:
         power = g**feature.codim
@@ -143,25 +130,25 @@ class PfcBreakdown:
     class_terms: dict[str, float]
 
 
-def assemble(
-    prism: RightPrism, params: PathLossParams, rho_grid
-) -> list[PfcBreakdown]:
+def assemble(prism: RightPrism, model: ConnectionModel, rho_grid) -> list[PfcBreakdown]:
     """Evaluate the per-feature expansion of P_fc, each term once, over a density grid."""
-    link(params)  # an unsupported path loss is refused before any density
+    # Bare params mean the 2x2 MIMO link, until perfbench's `mc_house` passes its model.
+    if isinstance(model, PathLossParams):
+        model = Mimo(2, 2, model)
     rhos = [float(r) for r in rho_grid]
     for rho in rhos:
         if not (math.isfinite(rho) and rho > 0.0):
             raise DomainError(f"node density must be a positive finite real, got {rho}")
-    contributions = tuple(feature_contribution(f, params) for f in enumerate_features(prism))
+    contributions = tuple(feature_contribution(f, model) for f in enumerate_features(prism))
     # The regime flag keys on the characteristic scale; the stricter
     # shortest-edge check only warns, since single marginal edges degrade
     # their own term, not the whole expansion.
-    scale_ok = math.sqrt(params.beta) * prism.volume ** (1.0 / 3.0) >= _MIN_SCALE
-    if math.sqrt(params.beta) * prism.shortest_edge < _MIN_SCALE:
+    root_beta = math.sqrt(model.params.beta)
+    scale_ok = root_beta * prism.volume ** (1.0 / 3.0) >= _MIN_SCALE
+    if root_beta * prism.shortest_edge < _MIN_SCALE:
         warnings.warn(
-            f"sqrt(beta) * shortest edge = "
-            f"{math.sqrt(params.beta) * prism.shortest_edge:.3g} is small; the "
-            "boundary expansion assumes it is large",
+            f"sqrt(beta) * shortest edge = {root_beta * prism.shortest_edge:.3g} is small; "
+            "the boundary expansion assumes it is large",
             stacklevel=2,
         )
     results = []
@@ -178,9 +165,6 @@ def assemble(
         for c, t in zip(contributions, terms):
             class_terms[_CLASS_NAMES[c.feature.codim]] += t
         p_fc = 1.0 - p_out
-        results.append(
-            PfcBreakdown(
-                rho, contributions, p_fc, p_out, scale_ok and p_fc >= 0.0, class_terms
-            )
-        )
+        in_regime = scale_ok and p_fc >= 0.0
+        results.append(PfcBreakdown(rho, contributions, p_fc, p_out, in_regime, class_terms))
     return results

@@ -163,11 +163,11 @@ def _check_mass_oracle() -> CheckResult:
 
 
 def _check_exponent_rates(perturb: bool = False) -> CheckResult:
-    params = PathLossParams(1.0, 2.0, 3)
-    mass = connmass.mass_quadrature(Mimo(2, 2, params)).value
+    model = Mimo(2, 2, PathLossParams(1.0, 2.0, 3))
+    mass = connmass.mass_quadrature(model).value
     worst = 0.0
     for feature in enumerate_features(house_prism(7.0)):
-        rate = pfc_analytic.feature_contribution(feature, params).exponent_rate
+        rate = pfc_analytic.feature_contribution(feature, model).exponent_rate
         if perturb:
             rate *= 1.001
         worst = max(worst, abs(rate / (feature.solid_angle * mass) - 1.0))

@@ -164,7 +164,7 @@ def test_criterion_4_scaling_orders(tmp_path):
 
 
 def test_criterion_5_house_terms():
-    params = PathLossParams(1.0, 2.0, 3)
+    model = Mimo(2, 2, PathLossParams(1.0, 2.0, 3))
     L = 7.0
     k = (23.0 - SQRT2) * PI**1.5  # exponent rates are k/32, 3k/64, ... at beta = 1
     prefactors = {
@@ -187,18 +187,18 @@ def test_criterion_5_house_terms():
     worst = 0.0
     for rho in (0.6, 1.0, 1.7):
         for name, (count, feature) in features.items():
-            values[name] = count * feature_contribution(feature, params).term(rho) / rho
+            values[name] = count * feature_contribution(feature, model).term(rho) / rho
         for name, (pref, rate, power) in prefactors.items():
             recovered = values[name] * rho**power * math.exp(rate * rho)
             worst = max(worst, abs(recovered / pref - 1.0))
-        breakdown = assemble(house_prism(L), params, [rho])[0]
+        breakdown = assemble(house_prism(L), model, [rho])[0]
         total = rho * sum(values.values())
         worst = max(worst, abs(breakdown.p_out / total - 1.0))
     # the per-feature (measure, solid angle, geometric factor) triples
     table = {
         (row["class"], None if row["angle"] is None else round(row["angle"], 9),
          round(row["measure"], 9)): row
-        for row in (c.row() for c in assemble(house_prism(L), params, [1.0])[0].contributions)
+        for row in (c.row() for c in assemble(house_prism(L), model, [1.0])[0].contributions)
     }
     expected_triples = {
         ("corners", round(PI / 2, 9), 1.0): (PI / 2, 256.0 / (343.0 * PI**2 * (PI / 2)), 6),
@@ -227,7 +227,7 @@ def house_mc_sweep():
     params = PathLossParams(1.0, 2.0, 3)
     model = Mimo(2, 2, params)
     rhos = [0.50, 0.56, 0.62, 0.68, 0.74, 0.83, 0.87]
-    breakdowns = assemble(prism, params, rhos)
+    breakdowns = assemble(prism, model, rhos)
     estimates = []
     for rho in rhos:
         config = McConfig.from_density(prism, model, rho, trials=2000, seed=20250810)

@@ -227,6 +227,46 @@ def test_pfc_capability_exit_code(tmp_path):
     assert rc == 3
 
 
+def _refused_eta(eta):
+    return (
+        "capability error: the per-feature expansion is validated for eta = 2 in three "
+        f"dimensions only, got eta={eta}, dim=3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # the path loss is refused before the density is read
+        (["pfc", "--eta", "3", "--rho", "-1"], 3, _refused_eta(3.0)),
+        (["simulate", "--eta", "3", "--rho", "-1", "--seed", "1"], 3, _refused_eta(3.0)),
+        (["pfc", "--eta", "4", "--rho", "0.8"], 3, _refused_eta(4.0)),
+        (["simulate", "--eta", "4", "--rho", "0.8", "--seed", "1"], 3, _refused_eta(4.0)),
+        (["pfc", "--beta", "1e103", "--rho", "0.5"], 4,
+         "numerical failure: corners: the term at rho = 0.5 is no finite double\n"),
+    ],
+    ids=["pfc-eta3", "simulate-eta3", "pfc-eta4", "simulate-eta4", "pfc-term-overflow"],
+)
+def test_pfc_and_simulate_refusals_keep_their_lines(argv, code, err, capsys):
+    # the library takes any path loss; `pfc` and `simulate` accept eta = 2 only
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_pfc_builds_one_link(monkeypatch, capsys):
+    expected = [Mimo(2, 2, PathLossParams(1.0, 2.0, 3))]
+    built = []
+    post_init = Mimo.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Mimo, "__post_init__", counted)
+    assert run_cli(PFC_HOUSE) == 0
+    assert built == expected
+
+
 def test_usage_errors():
     assert run_cli(["mass", "--model", "warp", "--output", "/dev/null"]) == 2
     assert run_cli(["pfc", "--prism", "house", "--rho", "0:1:-1"]) == 2

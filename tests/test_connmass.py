@@ -98,6 +98,21 @@ def test_unit_disk_jump_is_a_panel_edge():
         assert mass_quadrature(disk).value == pytest.approx(radius**3 / 3.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.3, 7.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_disk_closed_moment_matches_the_quadrature(radius, d):
+    disk = UnitDisk(radius, PathLossParams(1.0, 2.0, d))
+    assert disk.moment(d) == pytest.approx(mass_quadrature(disk).value, rel=1e-12)
+
+
+def test_unit_disk_closed_moment_past_the_doubles_is_an_overflow_error():
+    # radius^2 / 2 is past the doubles at 1e155; radius^3 itself at 1e200
+    for disk in (UnitDisk(1e155, PathLossParams(1.0, 2.0, 2)),
+                 UnitDisk(1e200, PathLossParams(1.0, 2.0, 3))):
+        with pytest.raises(OverflowError, match="^UnitDisk.moment: M' is not a finite double"):
+            disk.moment(disk.params.dim)
+
+
 @pytest.mark.parametrize("beta", [2e-307, 1e-306, 2.3e-306])
 def test_quadrature_stops_short_of_where_r_to_the_eta_overflows(beta):
     # the support bound's r^4 passes the doubles, but beta * r^4 is still a

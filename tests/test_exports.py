@@ -5,11 +5,13 @@ calls fails here, not in use."""
 import ast
 import importlib
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
 
 import prismconn
+from prismconn import linkmodels
 
 SRC = Path(prismconn.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -129,3 +131,23 @@ def test_specfun_imports_nothing_from_scipy():
         for alias in node.names
     ]
     assert [name for name in imported if name and name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("model", typing.get_args(linkmodels.ConnectionModel))
+def test_every_link_model_answers_the_protocol(model):
+    # `assemble` reads `moment`, `mass_quadrature` `h` and `step_radius`, and
+    # `McConfig` `h` through `support_radius`; each model defines all three
+    assert [name for name in ("h", "moment", "step_radius") if name not in vars(model)] == []
+
+
+def test_only_linkmodels_and_cli_raise_capability_errors():
+    # `linkmodels` refuses what a model does not implement, and `cli` what a
+    # command does not accept; the library between them takes what it is given
+    raising = {
+        module
+        for module, tree in _trees(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and "CapabilityError" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+    }
+    assert raising - {"linkmodels.py", "cli.py"} == set()

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from prismconn import specfun
+from prismconn import linkmodels, specfun
 from prismconn.errors import CapabilityError, ConvergenceError, DomainError
 from prismconn.linkmodels import (
     H_BLOCK,
@@ -401,9 +401,14 @@ def test_support_radius_is_bracketed_however_far():
         (SimoMiso(3, P3), "0x1.7577de6f8b273p+2"),
         (UnitDisk(1.2, P3), "0x1.3333333333334p+0"),
         (Siso(PathLossParams(0.5, 4.0, 2)), "0x1.5cfe3484d96bbp+1"),
+        (Siso(PathLossParams(1e5, 2.0, 3)), "0x1.105828d4fb9d9p-6"),  # below 1: bisected up from 0
+        (SimoMiso(3, PathLossParams(1e-300, 2.0, 3)), "0x1.c85e61d2cebe6p+500"),
+        (UnitDisk(0.3, P3), "0x1.3333333333334p-2"),
+        (UnitDisk(7.0, P3), "0x1.c000000000001p+2"),
     ],
     ids=["simo57", "siso", "mimo64-eta4", "mimo2", "disk1e300", "mimo2-eta3",
-         "mimo2-beta035", "simo3", "disk1.2", "siso-2d-eta4"],
+         "mimo2-beta035", "simo3", "disk1.2", "siso-2d-eta4", "siso-beta1e5",
+         "simo3-beta1e-300", "disk0.3", "disk7"],
 )
 def test_support_radius_keeps_its_bits(model, bits):
     # McConfig's cutoff, and so every Monte Carlo draw, hangs on these doubles
@@ -435,6 +440,29 @@ def test_support_radius_probes_each_point_once(model, monkeypatch):
     monkeypatch.setattr(type(model), "h", read)
     radius = support_radius(model)
     assert probes == reads + [radius]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Mimo(2, 2, P3), Mimo(2, 2, PathLossParams(1.0, 3.0, 3)),
+     Mimo(2, 64, PathLossParams(1.0, 4.0, 3)), SimoMiso(57, PathLossParams(0.05, 2.0, 3)),
+     Siso(PathLossParams(1e5, 2.0, 3)), SimoMiso(3, PathLossParams(1e-300, 2.0, 3)),
+     UnitDisk(0.3, P3), UnitDisk(7.0, P3)],
+    ids=["mimo2", "mimo2-eta3", "mimo64-eta4", "simo57", "siso-beta1e5", "simo3-beta1e-300",
+         "disk0.3", "disk7"],
+)
+def test_support_radius_reads_no_distance_twice(model, monkeypatch):
+    # the bisection starts above hi / 2, where `_support_bound` already read H
+    reads = []
+    below_floor = linkmodels._below_floor
+
+    def spy(model, r):
+        reads.append(r)
+        return below_floor(model, r)
+
+    monkeypatch.setattr(linkmodels, "_below_floor", spy)
+    support_radius(model)
+    assert len(set(reads)) == len(reads)
 
 
 def test_support_bound_is_the_first_power_of_two_below_the_floor():
