@@ -144,13 +144,19 @@ class RightPrism:
     @cached_property
     def _fan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The base fan-triangulated from vertex 0: (origin, legs a, legs b,
-        triangle weights), built once per prism and read-only."""
+        cumulative triangle weights), built once per prism and read-only.
+
+        The cumulative weights are what `Generator.choice` builds from the
+        weights `p` on every call: `p.cumsum()` over its last entry.
+        """
         verts = np.asarray(self.base_vertices, dtype=float)
         origin = verts[0]
         leg_a = verts[1:-1] - origin
         leg_b = verts[2:] - origin
         areas = 0.5 * (leg_a[:, 0] * leg_b[:, 1] - leg_a[:, 1] * leg_b[:, 0])
-        fan = origin, leg_a, leg_b, areas / areas.sum()
+        cdf = (areas / areas.sum()).cumsum()
+        cdf /= cdf[-1]
+        fan = origin, leg_a, leg_b, cdf
         for array in fan:
             array.setflags(write=False)
         return fan
@@ -285,8 +291,9 @@ def sample_uniform_rng(
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    origin, leg_a, leg_b, weights = prism._fan
-    tri = rng.choice(weights.size, size=count, p=weights)
+    origin, leg_a, leg_b, cdf = prism._fan
+    # rng.choice(cdf.size, size=count, p=weights), without re-checking p
+    tri = cdf.searchsorted(rng.random(count), side="right")
     uv = rng.random((count, 2))
     flip = uv.sum(axis=1) > 1.0
     uv[flip] = 1.0 - uv[flip]

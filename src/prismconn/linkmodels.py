@@ -3,9 +3,11 @@
 Four models are supported: SISO, SIMO/MISO with m diversity branches,
 MIMO with beamforming + maximum ratio combining restricted to
 min(n_t, n_r) = 2, and the unit-disk hard threshold.  SISO is SIMO/MISO
-with m = 1.  Each model owns its H as an `h(r)` method that takes a scalar
-or an array of checked distances; the entry points below are thin wrappers
-over it, and each checks its distances in one pass (`_check_distance`).
+with m = 1.  Each model owns its H as an `h(r, work=None)` method that takes
+a scalar or an array of checked distances; the entry points below are thin
+wrappers over it, and each checks its distances in one pass
+(`_check_distance`).  An array H writes its result and its temporaries into
+`work`, `H_WORK` arrays of r's shape that the caller owns, when given.
 Every model also owns the closed forms of H's radial moments,
 `moment(d)` = integral_0^inf r^(d-1) H(r) dr: the homogeneous mass M' is
 `moment(params.dim)`, and the boundary expansion's J and I0 are `moment(2)`
@@ -44,10 +46,16 @@ _LINK_PROB_FLOOR = 1e-12  # pairs with H below this are treated as unlinked
 # Past this order H is still above the floor where e^-x leaves the normal
 # doubles (x > 708), so specfun.poisson_head loses its precision there.
 _MIMO_MAX_ORDER = 512
-# Distances per `model.h` call in `pair_connectedness_many`: the block, its H
-# and the MIMO H's temporaries (about six float64 arrays, 0.75 MB) stay in L2
-# cache and small enough for the allocator to reuse from one block to the next.
-H_BLOCK = 16_384
+# Distances per `model.h` call in `pair_connectedness_many` and
+# `mc_sim.connection_field`.  A block's H works in the model's `H_WORK`
+# arrays of this many float64, which the caller reuses for every block: for
+# MIMO four (its result, which in the field is the block's distances, then
+# Q(n - 1, x), the next Poisson term and one spare), 1 MB in all.  Fresh
+# arrays this large would each be mapped and page-faulted anew.  On the
+# benchmark's field shapes (SISO square, MIMO house; a 2-core x86-64 Xeon
+# with 2 MB of L2 per core) 2^15 ran 31 and 34 ms per field, 2^14 35 and
+# 40 ms, and 2^16, whose MIMO workspace is 2 MB, 29 and 37 ms.
+H_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -79,15 +87,19 @@ class PathLossParams:
         except OverflowError:
             return True
 
-    def x(self, r):
+    def x(self, r, out=None):
         """beta * r^eta, the outage threshold argument at distance r.
 
         r must be checked: non-negative, finite, and where beta * r^eta is a
         double, as the H entry points' `_check_distance` makes sure.
         np.power, unlike Python's `**` on a float, rounds a scalar r exactly
-        as it rounds the same value inside an array.
+        as it rounds the same value inside an array.  An array's x goes to
+        `out` (which may be r itself) when given, else to a new array.
         """
-        return self.beta * np.power(r, self.eta)
+        x = np.power(r, self.eta, out=out)
+        if self.beta != 1.0:  # times 1 is exact
+            x *= self.beta
+        return x
 
 
 @dataclass(frozen=True)
@@ -105,9 +117,14 @@ class SimoMiso:
         """(m / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
         return (self.m / self.params.beta) ** (1.0 / self.params.eta)
 
-    def h(self, r):
-        x = self.params.x(r)
-        return np.exp(-x) if self.m == 1 else special.gammaincc(self.m, x)
+    H_WORK = 1  # H itself
+
+    def h(self, r, work=None):
+        x = self.params.x(r, None if work is None else work[0])
+        if self.m > 1:
+            return _over_last(special.gammaincc, self.m, x)
+        x *= -1.0  # exactly -x, in x's own array
+        return _over_last(np.exp, x)
 
     def moment(self, d: int) -> float:
         """integral_0^inf r^(d-1) H(r) dr = Gamma(m + nu) / (Gamma(m) beta^nu d), nu = d/eta."""
@@ -145,19 +162,26 @@ class Mimo:
         """(n / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
         return (self.n / self.params.beta) ** (1.0 / self.params.eta)
 
-    def h(self, r):
+    H_WORK = 4  # H itself, A, u and one spare
+
+    def h(self, r, work=None):
         # 1 - n P(n-1, x) P(n+1, x) + (n-1) P(n, x)^2 in closed form:
         # H = A(2 - A) + u((x + 2 - n)(1 - A) + (n - 1)u), with A = Q(n-1, x)
         # and u = e^-x x^(n-1) / (n-1)!; no cancellation in the tail.
-        x = self.params.x(r)
-        a, u = specfun.poisson_head(self.n - 1, x)
+        n = self.n
+        out, head, term, spare = (None,) * 4 if work is None else work
         # Built in x's array in place; a scalar just rebinds, in the same order.
-        h = x
-        h += 2.0 - self.n
-        h *= 1.0 - a
-        h += (self.n - 1.0) * u
+        # At n = 2 the exact identities x + 0 and 1 * u are skipped.
+        h = self.params.x(r, out)
+        a, u = specfun.poisson_head(n - 1, h, head, term, checked=True)
+        if n > 2:
+            h += 2.0 - n
+        h *= _minus(1.0, a, spare)
+        h += u if n == 2 else _times(n - 1.0, u, spare)
         h *= u
-        h += a * (2.0 - a)
+        a_part = _minus(2.0, a, spare)
+        a_part *= a
+        h += a_part
         return _clamp01(h)
 
     def moment(self, d: int) -> float:
@@ -199,8 +223,13 @@ class UnitDisk:
         """The radius, where H jumps: the mass integral's breakpoint."""
         return self.radius
 
-    def h(self, r):
-        return (r < self.radius) * 1.0 + (r == self.radius) * math.exp(-self.params.beta)
+    H_WORK = 1  # H itself
+
+    def h(self, r, work=None):
+        at = (r == self.radius) * math.exp(-self.params.beta)  # before r may be overwritten
+        h = _times(1.0, r < self.radius, None if work is None else work[0])
+        h += at
+        return h
 
     def moment(self, d: int) -> float:
         """integral_0^inf r^(d-1) H(r) dr = radius^d / d."""
@@ -278,6 +307,22 @@ def _check_distance(model: ConnectionModel, r) -> None:
         raise DomainError(f"beta * r^eta is past the doubles for {model.params}")
 
 
+def _over_last(ufunc, *args):
+    """ufunc(*args), over its last argument when that is an array, which H owns."""
+    last = args[-1]
+    return ufunc(*args, out=last) if isinstance(last, np.ndarray) else ufunc(*args)
+
+
+def _minus(c: float, a, out=None):
+    """c - a: a float for a float a; for an array a, into `out`, or a new array."""
+    return np.subtract(c, a, out=out) if isinstance(a, np.ndarray) else c - a
+
+
+def _times(c: float, a, out=None):
+    """c * a, as `_minus` takes c - a."""
+    return np.multiply(c, a, out=out) if isinstance(a, np.ndarray) else c * a
+
+
 def _clamp01(h):
     """h clipped to [0, 1]: an array in place, a scalar by a cheap min/max."""
     if isinstance(h, np.ndarray):
@@ -291,23 +336,29 @@ def pair_connectedness(model: ConnectionModel, r: float) -> float:
     return float(model.h(float(r)))
 
 
-def pair_connectedness_many(model: ConnectionModel, r: np.ndarray) -> np.ndarray:
+def pair_connectedness_many(
+    model: ConnectionModel, r: np.ndarray, *, checked: bool = False
+) -> np.ndarray:
     """Vectorized H over an array of distances.
 
-    Fast path for the Monte Carlo engine and field sampling.  H runs on
-    blocks of at most `H_BLOCK` distances, so its temporaries stay small;
-    it is elementwise, so every value agrees with one call on the whole
-    array and with the scalar evaluation bit for bit.  One block is
-    returned as H made it, uncopied.
+    Fast path for the Monte Carlo engine and the quadrature.  H runs on
+    blocks of at most `H_BLOCK` distances, each written straight into the
+    result, with the model's temporaries in arrays reused from block to
+    block; it is elementwise, so every value agrees with one call on the
+    whole array and with the scalar evaluation bit for bit.  r is never
+    written.  `checked` says the caller has already refused r by
+    `_check_distance`, as a Monte Carlo trial does for all of its distances
+    in range before it bins them.
     """
     r = np.asarray(r, dtype=float)
-    _check_distance(model, r)
-    if r.size <= H_BLOCK:
-        return model.h(r)
+    if not checked:
+        _check_distance(model, r)
     out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_r.size, H_BLOCK):
-        flat_out[start : start + H_BLOCK] = model.h(flat_r[start : start + H_BLOCK])
+    temps = np.empty((model.H_WORK - 1, min(r.size, H_BLOCK)))
+    for start in range(0, r.size, H_BLOCK):
+        block = flat_out[start : start + H_BLOCK]
+        model.h(flat_r[start : start + H_BLOCK], [block, *temps[:, : block.size]])
     return out
 
 

@@ -292,8 +292,8 @@ class _PairTable:
         distance, by one uniform each, drawn in pair order.  A uniform at or
         above its bin's ceiling decides the pair unlinked; H is evaluated, in
         one call, only on the pairs below it.  Every distance in range is
-        checked first (a NaN one is kept in range, so it is refused instead of
-        the pair vanishing).
+        checked first, and only there (a NaN one is kept in range, so it is
+        refused instead of the pair vanishing).
         """
         n = len(points)
         size = n * (n - 1) // 2
@@ -309,7 +309,7 @@ class _PairTable:
         # the distances are taken, so their buffer holds the ceilings
         ceiling = config.ceiling(r, self.bins[: near.size], out=self.dists[: near.size])
         undecided = np.flatnonzero(np.less(u, ceiling, out=self.mask[: near.size]))
-        h = pair_connectedness_many(config.model, r[undecided])
+        h = pair_connectedness_many(config.model, r[undecided], checked=True)
         return near[undecided[u[undecided] < h]]
 
 
@@ -608,12 +608,24 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
             f"points are {pts.shape[1]}-dimensional but grid is {grid.shape[1]}-dimensional"
         )
     values = np.empty(len(grid))
-    # Node-major blocks of at most H_BLOCK pairs, one H block each: the
-    # product over nodes multiplies whole rows, in the same node order as a
-    # product along each grid point's row.
-    cols = max(1, H_BLOCK // len(pts))
+    # Node-major blocks of at most H_BLOCK pairs.  One workspace serves every
+    # block: its `cdist` distances, which H overwrites with itself and then
+    # with 1 - H, and the model's temporaries.  The product over nodes
+    # multiplies whole rows, in the same node order as a product along each
+    # grid point's row.
+    nodes = len(pts)
+    cols = min(max(1, H_BLOCK // nodes), len(grid))
+    work = np.empty((model.H_WORK, nodes * cols))
+    full = [row.reshape(nodes, cols) for row in work]
     for start in range(0, len(grid), cols):
-        h = pair_connectedness_many(model, cdist(pts, grid[start : start + cols]))
-        miss = np.subtract(1.0, h, out=h)
-        values[start : start + miss.shape[1]] = 1.0 - np.prod(miss, axis=0)
+        block = grid[start : start + cols]
+        views = full if len(block) == cols else [
+            row[: nodes * len(block)].reshape(nodes, -1) for row in work
+        ]
+        dists = cdist(pts, block, out=views[0])
+        _check_distance(model, dists)
+        miss = model.h(dists, views)
+        np.subtract(1.0, miss, out=miss)
+        hit = np.prod(miss, axis=0, out=values[start : start + len(block)])
+        np.subtract(1.0, hit, out=hit)
     return values

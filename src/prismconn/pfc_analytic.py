@@ -13,9 +13,10 @@ opening angle theta 4 g^2 / sin(theta) and a corner 32 pi g^3 /
 these two closed-form moments, M' = `model.moment(3)` and J =
 `model.moment(2)`, so the library takes any link model in three
 dimensions; which links a command accepts is the CLI's to decide.  `assemble`
-evaluates each feature's term once per density and keeps the per-class sums
-beside P_fc.  The first-order expansion may go negative at low density;
-values are reported as-is with an out-of-regime flag rather than clamped.
+reads the two moments once, evaluates each feature's term once per density
+and keeps the per-class sums beside P_fc.  The first-order expansion may go
+negative at low density; values are reported as-is with an out-of-regime
+flag rather than clamped.
 """
 
 from __future__ import annotations
@@ -97,9 +98,18 @@ class FeatureContribution:
 
 def feature_contribution(feature: BoundaryFeature, model: ConnectionModel) -> FeatureContribution:
     """Geometric factor, exponent rate, and density power for one feature."""
+    return _contribution(feature, *_link_constants(model))
+
+
+def _link_constants(model: ConnectionModel) -> tuple[float, float]:
+    """(M', g) = (`moment(3)`, 1 / (2 pi `moment(2)`)), what the expansion reads of a link."""
     if model.params.dim != 3:
         raise DomainError(f"the prism expansion is three-dimensional, got dim={model.params.dim}")
-    mass, g = model.moment(3), 1.0 / (2.0 * math.pi * model.moment(2))
+    return model.moment(3), 1.0 / (2.0 * math.pi * model.moment(2))
+
+
+def _contribution(feature: BoundaryFeature, mass: float, g: float) -> FeatureContribution:
+    """`feature_contribution` from the link's M' and g."""
     try:
         power = g**feature.codim
     except OverflowError:  # g^3, then g^2, passes the doubles at a huge beta
@@ -139,7 +149,8 @@ def assemble(prism: RightPrism, model: ConnectionModel, rho_grid) -> list[PfcBre
     for rho in rhos:
         if not (math.isfinite(rho) and rho > 0.0):
             raise DomainError(f"node density must be a positive finite real, got {rho}")
-    contributions = tuple(feature_contribution(f, model) for f in enumerate_features(prism))
+    constants = _link_constants(model)  # each moment once, not once per feature
+    contributions = tuple(_contribution(f, *constants) for f in enumerate_features(prism))
     # The regime flag keys on the characteristic scale; the stricter
     # shortest-edge check only warns, since single marginal edges degrade
     # their own term, not the whole expansion.

@@ -41,7 +41,7 @@ def _checked_max(x):
     return x if math.isfinite(x) and x >= 0.0 else None
 
 
-def poisson_head(k: int, x):
+def poisson_head(k: int, x, head=None, term=None, *, checked: bool = False):
     """(P[X < k], P[X = k]) for X ~ Poisson(x), scalar or array x.
 
     The first is Q(k, x) = e^-x sum_{j<k} x^j / j!, the regularized upper
@@ -50,20 +50,32 @@ def poisson_head(k: int, x):
     so both are accurate to a few ulp while e^-x is a normal double
     (x < 708).  A scalar runs the same IEEE operations in the same order as
     an array element (augmented assignments rebind it), so the two agree
-    bit for bit.
+    bit for bit.  The first step's exact identities, 0 + term and term / 1,
+    are skipped: the terms are non-negative, so neither changes a bit.
+
+    An array x's head and term go to the arrays `head` and `term` of x's
+    shape when given, else to new ones.  `checked` says the caller has
+    already refused k and x, as the link models' H entry points do for the
+    distances x is made from; x is then not read again for the check.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0 and _checked_max(x) is not None):
+    if not checked and not (
+        isinstance(k, (int, np.integer)) and k >= 0 and _checked_max(x) is not None
+    ):
         raise DomainError(
             f"poisson_head requires integer k >= 0 and finite x >= 0, got k={k}, x={x}"
         )
-    if isinstance(x, np.ndarray):
-        term = np.exp(-x)
-        head = np.zeros_like(term)
-    else:
+    scalar = not isinstance(x, np.ndarray)
+    if scalar:
         x = float(x)
         term = float(np.exp(-x))
-        head = 0.0
-    for j in range(1, k + 1):
+    else:
+        term = np.negative(x, out=term)
+        np.exp(term, out=term)
+    if k == 0:
+        return (0.0 if scalar else np.multiply(term, 0.0, out=head)), term
+    head = term if scalar else np.positive(term, out=head)
+    term *= x
+    for j in range(2, k + 1):
         head += term
         term *= x
         term /= j

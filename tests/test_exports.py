@@ -136,8 +136,10 @@ def test_specfun_imports_nothing_from_scipy():
 @pytest.mark.parametrize("model", typing.get_args(linkmodels.ConnectionModel))
 def test_every_link_model_answers_the_protocol(model):
     # `assemble` reads `moment`, `mass_quadrature` `h` and `step_radius`, and
-    # `McConfig` `h` through `support_radius`; each model defines all three
-    assert [name for name in ("h", "moment", "step_radius") if name not in vars(model)] == []
+    # `McConfig` `h` through `support_radius`; the field and the blocked H
+    # size their workspace by `H_WORK`; each model defines all four
+    names = ("h", "H_WORK", "moment", "step_radius")
+    assert [name for name in names if name not in vars(model)] == []
 
 
 def test_only_linkmodels_and_cli_raise_capability_errors():

@@ -357,25 +357,36 @@ def rebuilt_fan_sample(prism, count, rng):
 
 HEXAGON_JSON = """{"base_vertices": [[0, 0], [2, -1], [4, 0], [4.5, 2], [2, 3.25], [-0.5, 1.5]],
                    "height": 1.75}"""
+# An irregular pentagon: three fan triangles of unequal area.
+IRREGULAR_PENTAGON = RightPrism(((0.0, 0.0), (3.1, 0.2), (3.9, 2.7), (1.3, 4.4), (-0.6, 1.9)), 2.3)
+# A regular octagon, whose triangle weights sum to 1 - 3 ulp: `choice`
+# divides their running sum by its last entry, and so must the sampler, or a
+# uniform draw within 3 ulp of 1 would pick a triangle past the last.
+OCTAGON = RightPrism(
+    tuple((math.cos(0.3 + k * math.pi / 4), math.sin(0.3 + k * math.pi / 4)) for k in range(8)), 1.0
+)
 
 
 @pytest.mark.parametrize(
     "prism",
-    [house_prism(7.0), cube_prism(2.0), prism_from_dict(json.loads(HEXAGON_JSON))],
-    ids=["house", "cube", "json-hexagon"],
+    [house_prism(7.0), cube_prism(2.0), prism_from_dict(json.loads(HEXAGON_JSON)),
+     IRREGULAR_PENTAGON, OCTAGON],
+    ids=["house", "cube", "json-hexagon", "pentagon", "octagon"],
 )
 def test_sampling_with_the_fan_built_once_keeps_its_draws(prism):
     # The same points, bit for bit, and the stream left at the same place,
-    # call after call on one prism, as with the fan rebuilt on every call.
-    for seed in (0, 1, 90210):
+    # call after call on one prism, as with the fan rebuilt on every call
+    # and its triangle drawn by `rng.choice(..., p=weights)`.
+    for seed in (*range(40), 90210):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for count in (1, 2, 373, 1, 373):
+        for count in (1, 2, 3, 373, 1, 373):
             np.testing.assert_array_equal(
                 sample_uniform_rng(prism, count, rng), rebuilt_fan_sample(prism, count, reference)
             )
         assert rng.random() == reference.random()
     assert prism._fan is prism._fan
     assert not any(array.flags.writeable for array in prism._fan)
+    assert prism._fan[3][-1] == 1.0
 
 
 def test_prism_json_round_trip(tmp_path):

@@ -501,6 +501,7 @@ _LAST_DISTANCE = {
 def _array_entry_points(r):
     return [
         lambda: pair_connectedness_many(Siso(P3), r),
+        lambda: pair_connectedness_many(Mimo(2, 2, P3), r),  # Q(1, x) does not read x again
         lambda: pair_connectedness_mimo_det(2, 3, P3, r),
         lambda: mimo_gamma_form(3, P3, r),
     ]
@@ -541,8 +542,8 @@ def test_each_entry_point_reads_an_array_once(monkeypatch):
     r = np.linspace(0.0, 3.0, 2 * H_BLOCK + 1)
     for entry in _array_entry_points(r):
         entry()
-    assert reads == [r.size] * 3
-    assert probes == [3.0] * 3
+    assert reads == [r.size] * 4
+    assert probes == [3.0] * 4
 
 
 def test_support_radius_past_the_doubles_is_a_convergence_error():

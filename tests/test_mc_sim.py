@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
-from prismconn import linkmodels, mc_sim
+from prismconn import connmass, linkmodels, mc_sim, specfun
+from prismconn.connmass import mass_quadrature
 from prismconn.errors import DomainError
 from prismconn.geometry import cube_prism, house_prism, sample_uniform_rng
 from prismconn.linkmodels import (
@@ -271,7 +272,7 @@ def test_buffered_trials_match_at_the_benchmark_size():
     ]
 
 
-@pytest.mark.parametrize("block", [1, 7, H_BLOCK, 10**9])
+@pytest.mark.parametrize("block", [1, 7, 16_384, H_BLOCK, 10**9])
 @pytest.mark.parametrize(
     "model",
     TRIAL_MODELS[:2] + [SimoMiso(1, P3), UnitDisk(1.2, P3)],
@@ -295,9 +296,9 @@ def test_run_trials_reuses_one_pair_table(monkeypatch):
     h_sizes, many_calls, tables = [], [], []
     original_h, original_many, original_pdist = Mimo.h, mc_sim.pair_connectedness_many, mc_sim.pdist
 
-    def spy_h(self, r):
+    def spy_h(self, r, work=None):
         h_sizes.append(np.size(r))
-        return original_h(self, r)
+        return original_h(self, r, work)
 
     def spy_many(*args, **kwargs):
         many_calls.append(1)
@@ -1028,9 +1029,10 @@ def benchmark_field_inputs(domain, nodes, rng):
         (SimoMiso(3, PathLossParams(0.7, 3.0, 3)), 90, 777),
         (UnitDisk(1.2, P2), 60, 641),
         (Siso(P2), 1, 300),
-        (Siso(P2), H_BLOCK + 3, 5),  # blocks of one grid point
+        (Siso(P2), 16_387, 5),  # blocks of two grid points, then one
         (Mimo(2, 2, P3), 343, "house 24"),  # the shapes the benchmark times
         (Siso(P2), 150, "square 200"),
+        (Siso(P2), H_BLOCK + 3, 5),  # blocks of one grid point
     ],
 )
 def test_connection_field_matches_reference(model, nodes, grid_count):
@@ -1048,6 +1050,76 @@ def test_connection_field_matches_reference(model, nodes, grid_count):
     assert len(grid) % cols != 0 or cols == 1  # a short last block
     values = connection_field(pts, model, grid)
     assert values.tobytes() == reference_field(pts, model, grid).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, nodes, domain",
+    [(Mimo(2, 2, P3), 343, "house 24"), (Siso(P2), 150, "square 200")],
+    ids=["house-mimo", "square-siso"],
+)
+def test_connection_field_works_in_one_small_workspace(model, nodes, domain):
+    # the benchmark's shapes: beside its result, a call holds one workspace
+    # of H_WORK blocks (1 MB for MIMO, 0.25 MB for SISO) and little else
+    pts, grid = benchmark_field_inputs(domain, nodes, np.random.default_rng(nodes))
+    connection_field(pts, model, grid)
+    tracemalloc.start()
+    try:
+        values = connection_field(pts, model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes <= model.H_WORK * H_BLOCK * 8 + 16_384
+
+
+def _read_only(values):
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+SAFETY_MODELS = [Siso(P3), SimoMiso(3, P3), Mimo(2, 2, P3), Mimo(2, 7, P3), UnitDisk(1.2, P3)]
+
+
+@pytest.mark.parametrize(
+    "model", SAFETY_MODELS, ids=["siso", "simo3", "mimo2", "mimo7", "disk"]
+)
+def test_h_never_writes_into_an_array_its_caller_passed(monkeypatch, model):
+    # Every input below is read-only, so a write into one raises.  H itself,
+    # the blocked entry point on one block and on three, the field, the
+    # ceiling, and the quadrature's nodes as H is handed them.
+    rng = np.random.default_rng(9)
+    for r in (_read_only(rng.random(500) * 4.0), _read_only(rng.random((3, H_BLOCK)) * 4.0)):
+        expected = model.h(r.copy())
+        assert model.h(r).tobytes() == expected.tobytes()
+        assert pair_connectedness_many(model, r).tobytes() == expected.tobytes()
+    pts, grid = _read_only(rng.random((40, 3)) * 4.0), _read_only(rng.random((900, 3)) * 4.0)
+    assert connection_field(pts, model, grid).tobytes() == (
+        connection_field(pts.copy(), model, grid.copy()).tobytes()
+    )
+    cutoff = support_radius(model)
+    r = _read_only(rng.random(1000) * cutoff)
+    _HCeiling(model, cutoff)(r, np.empty(r.size, dtype=np.intp), out=np.empty(r.size))
+    expected = mass_quadrature(model)
+    real = connmass.pair_connectedness_many
+    monkeypatch.setattr(
+        connmass, "pair_connectedness_many", lambda m, nodes: real(m, _read_only(nodes))
+    )
+    assert mass_quadrature(model) == expected
+
+
+def test_a_trial_reads_its_distances_once(monkeypatch):
+    # one min and one max over the pairs in range, and none over the
+    # undecided ones H then takes, or over H's own x
+    config = McConfig.from_density(house_prism(7.0), Mimo(2, 2, P3), 0.87, 5, 11)
+    reads, checked_max = [], specfun._checked_max
+
+    def read(x):
+        reads.append(np.size(x))
+        return checked_max(x)
+
+    monkeypatch.setattr(specfun, "_checked_max", read)
+    run_trials(config)
+    assert len(reads) == 5 and min(reads) > 40_000
 
 
 def test_connection_field_dimension_mismatch():

@@ -278,6 +278,25 @@ def test_any_link_model_reads_through_its_two_moments():
         assert c.exponent_rate == pytest.approx(feature.solid_angle * mass, rel=1e-15)
 
 
+@pytest.mark.parametrize("link", [LINK, Mimo(2, 6, PARAMS)], ids=["mimo2", "mimo6"])
+def test_assemble_reads_each_moment_once(monkeypatch, link):
+    # seven house features and three densities: M' and J are read once each,
+    # and every contribution is the one `feature_contribution` gives
+    reads, moment = [], Mimo.moment
+
+    def spy(self, d):
+        reads.append(d)
+        return moment(self, d)
+
+    monkeypatch.setattr(Mimo, "moment", spy)
+    breakdowns = assemble(house_prism(L), link, [0.5, 0.87, 2.0])
+    assert reads == [3, 2]
+    assert len(breakdowns[0].contributions) == 7
+    assert breakdowns[0].contributions == tuple(
+        feature_contribution(c.feature, link) for c in breakdowns[0].contributions
+    )
+
+
 def test_bare_params_mean_the_mimo_link():
     rhos = [0.5, 0.87, 2.0]
     assert assemble(house_prism(L), PARAMS, rhos) == assemble(house_prism(L), LINK, rhos)

@@ -22,6 +22,7 @@ from prismconn.linkmodels import (
     Mimo,
     PathLossParams,
     SimoMiso,
+    UnitDisk,
     pair_connectedness,
     pair_connectedness_many,
     pair_connectedness_mimo_det,
@@ -313,3 +314,87 @@ def test_domain_errors():
 
 def test_config_validation():
     assert lower_p(2, 2.0) == pytest.approx(0.5939941502901616, rel=1e-5)
+
+
+# ------------------------------------------- the exact identities H skips
+
+
+def unskipped_poisson_head(k, x):
+    """The recursion with its first step whole: 0 + term, then term / 1."""
+    term = np.exp(-x)
+    head = np.zeros_like(term)
+    for j in range(1, k + 1):
+        head += term
+        term *= x
+        term /= j
+    return head, term
+
+
+def unskipped_h(model, r):
+    """H with every float operation its formula names, the exact identities
+    included: beta * r^eta at beta = 1, x + (2 - n) and (n - 1) u at n = 2."""
+    if isinstance(model, UnitDisk):
+        return (r < model.radius) * 1.0 + (r == model.radius) * math.exp(-model.params.beta)
+    x = model.params.beta * np.power(r, model.params.eta)
+    if isinstance(model, SimoMiso):
+        return np.exp(-x) if model.m == 1 else special.gammaincc(model.m, x)
+    n = model.n
+    a, u = unskipped_poisson_head(n - 1, x)
+    h = x + (2.0 - n)
+    h *= 1.0 - a
+    h += (n - 1.0) * u
+    h *= u
+    h += a * (2.0 - a)
+    return np.clip(h, 0.0, 1.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7])
+def test_poisson_head_skips_only_exact_identities(k):
+    # x = 0, the first step (k = 1) and the steps after it, by scalar, by
+    # array and into given arrays, bit for bit the whole recursion
+    x = np.concatenate(
+        ([0.0, 5e-324, 1e-300, 1.0, 708.0], np.random.default_rng(k).random(300) * 40.0)
+    )
+    expected = unskipped_poisson_head(k, x)
+    head, term = np.empty_like(x), np.empty_like(x)
+    into = poisson_head(k, x, head, term, checked=True)
+    assert into[0] is head and into[1] is term
+    for got in (poisson_head(k, x), into):
+        assert (_bits(got[0]), _bits(got[1])) == (_bits(expected[0]), _bits(expected[1]))
+    assert [poisson_head(k, float(v)) for v in x] == list(zip(*(e.tolist() for e in expected)))
+
+
+IDENTITY_MODELS = [
+    SimoMiso(1, PathLossParams(1.0, 2.0, 3)),
+    SimoMiso(1, PathLossParams(0.35, 3.0, 2)),
+    SimoMiso(3, PathLossParams(1.0, 2.0, 3)),
+    Mimo(2, 2, PathLossParams(1.0, 2.0, 3)),
+    Mimo(2, 2, PathLossParams(0.35, 2.5, 3)),
+    Mimo(3, 2, PathLossParams(1.0, 2.0, 3)),
+    Mimo(2, 7, PathLossParams(1.0, 4.0, 3)),
+    UnitDisk(1.2, PathLossParams(1.0, 2.0, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "model", IDENTITY_MODELS,
+    ids=["siso", "siso-beta", "simo3", "mimo2", "mimo2-beta", "mimo3", "mimo7", "disk"],
+)
+def test_h_skips_only_exact_identities(model):
+    # r = 0 (x = 0), n = 2 and 3, beta = 1 and not: H by array, into a
+    # workspace, over its own distances, by the blocked entry point and by
+    # scalar, all bit for bit H with every operation done
+    r = np.concatenate(([0.0, 5e-324, 1.2, np.nextafter(1.2, 0.0)],
+                        np.random.default_rng(5).random(3000) * 6.0))
+    expected = _bits(unskipped_h(model, r))
+    work = [np.empty_like(r) for _ in range(model.H_WORK)]
+    assert model.h(r, work) is work[0]
+    own = r.copy()
+    assert model.h(own, [own, *work[1:]]) is own
+    for got in (model.h(r), work[0], own, pair_connectedness_many(model, r)):
+        assert _bits(got) == expected
+    assert _bits([pair_connectedness(model, v) for v in r[:400]]) == expected[: 400 * 8]
