@@ -226,9 +226,14 @@ class UnitDisk:
     H_WORK = 1  # H itself
 
     def h(self, r, work=None):
-        at = (r == self.radius) * math.exp(-self.params.beta)  # before r may be overwritten
-        h = _times(1.0, r < self.radius, None if work is None else work[0])
-        h += at
+        # (r < R) + (r == R) e^-beta.  Adding 0.0 to 0 or 1 is exact, so an
+        # array puts e^-beta where r == R instead, with no float temporary.
+        on_edge = math.exp(-self.params.beta)
+        if not isinstance(r, np.ndarray):
+            return 1.0 if r < self.radius else on_edge if r == self.radius else 0.0
+        at = r == self.radius  # before r may be overwritten
+        h = np.less(r, self.radius, out=np.empty(r.shape) if work is None else work[0])
+        np.putmask(h, at, on_edge)
         return h
 
     def moment(self, d: int) -> float:

@@ -614,7 +614,7 @@ def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:
     # multiplies whole rows, in the same node order as a product along each
     # grid point's row.
     nodes = len(pts)
-    cols = min(max(1, H_BLOCK // nodes), len(grid))
+    cols = max(1, min(H_BLOCK // nodes, len(grid)))  # one column even for no grid
     work = np.empty((model.H_WORK, nodes * cols))
     full = [row.reshape(nodes, cols) for row in work]
     for start in range(0, len(grid), cols):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prismconn
-from prismconn import pfc_analytic
+from prismconn import mc_sim, pfc_analytic
 from prismconn.cli import (
     _FIELD_SLAB_POINTS,
     _PARAMS,
@@ -612,6 +612,32 @@ def test_field_prism_3d(tmp_path):
     header, rows = read_csv(out)
     assert header == ["x", "y", "z", "value"]
     assert len(rows) == 6 * 6 * 6  # cube: every lattice point is inside
+
+
+def test_field_on_a_prism_with_a_lone_extreme_vertex(tmp_path, monkeypatch):
+    # The hexagon's smallest and largest x are lone vertices, (-0.5, 1.5)
+    # and (4.5, 2), so the first and last lattice planes hold no point inside
+    # the prism: their slabs hand the field an empty grid, and the other
+    # slabs still write their points.  The first call is the range probe.
+    path = tmp_path / "hexagon.json"
+    base = [[0, 0], [2, -1], [4, 0], [4.5, 2], [2, 3.25], [-0.5, 1.5]]
+    path.write_text(json.dumps({"base_vertices": base, "height": 1.75}), encoding="utf-8")
+    sizes, field = [], mc_sim.connection_field
+
+    def spy(points, model, grid_points):
+        sizes.append(len(grid_points))
+        return field(points, model, grid_points)
+
+    monkeypatch.setattr(mc_sim, "connection_field", spy)
+    out = tmp_path / "field.csv"
+    assert run_cli(["field", "--prism", str(path), "--rho", "0.05", "--seed", "1",
+                    "--grid", "64", "--output", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["x", "y", "z", "value"]
+    assert sizes[0] == 1 and sizes[1] == sizes[-1] == 0
+    assert len(rows) == sum(sizes[1:]) > 0
+    assert -0.5 < min(float(row[0]) for row in rows) < max(float(row[0]) for row in rows) < 4.5
+    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
 
 
 def run_cli_capped(argv):

@@ -1029,10 +1029,11 @@ def benchmark_field_inputs(domain, nodes, rng):
         (SimoMiso(3, PathLossParams(0.7, 3.0, 3)), 90, 777),
         (UnitDisk(1.2, P2), 60, 641),
         (Siso(P2), 1, 300),
-        (Siso(P2), 16_387, 5),  # blocks of two grid points, then one
+        (Siso(P2), 16_387, 5),  # blocks of one grid point, each under H_BLOCK
         (Mimo(2, 2, P3), 343, "house 24"),  # the shapes the benchmark times
         (Siso(P2), 150, "square 200"),
-        (Siso(P2), H_BLOCK + 3, 5),  # blocks of one grid point
+        (Siso(P2), H_BLOCK + 3, 5),  # blocks of one grid point, each over H_BLOCK
+        (Siso(P2), 16_383, 5),  # blocks of two grid points, then one
     ],
 )
 def test_connection_field_matches_reference(model, nodes, grid_count):
@@ -1053,13 +1054,18 @@ def test_connection_field_matches_reference(model, nodes, grid_count):
 
 
 @pytest.mark.parametrize(
-    "model, nodes, domain",
-    [(Mimo(2, 2, P3), 343, "house 24"), (Siso(P2), 150, "square 200")],
-    ids=["house-mimo", "square-siso"],
+    "model, nodes, domain, masks",
+    [
+        (Mimo(2, 2, P3), 343, "house 24", 0),
+        (Siso(P2), 150, "square 200", 0),
+        (UnitDisk(1.2, P2), 150, "square 200", 1),
+    ],
+    ids=["house-mimo", "square-siso", "square-disk"],
 )
-def test_connection_field_works_in_one_small_workspace(model, nodes, domain):
+def test_connection_field_works_in_one_small_workspace(model, nodes, domain, masks):
     # the benchmark's shapes: beside its result, a call holds one workspace
-    # of H_WORK blocks (1 MB for MIMO, 0.25 MB for SISO) and little else
+    # of H_WORK blocks (1 MB for MIMO, 0.25 MB for SISO and the unit disk),
+    # the unit disk's bool mask of a block, and little else
     pts, grid = benchmark_field_inputs(domain, nodes, np.random.default_rng(nodes))
     connection_field(pts, model, grid)
     tracemalloc.start()
@@ -1068,7 +1074,16 @@ def test_connection_field_works_in_one_small_workspace(model, nodes, domain):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - values.nbytes <= model.H_WORK * H_BLOCK * 8 + 16_384
+    assert peak - values.nbytes <= model.H_WORK * H_BLOCK * 8 + masks * H_BLOCK + 16_384
+
+
+@pytest.mark.parametrize("nodes", [1, 40, H_BLOCK + 3])
+def test_connection_field_of_no_grid_points_is_empty(nodes):
+    # a CLI slab whose lattice points all lie outside the prism
+    pts = np.random.default_rng(nodes).random((nodes, 3)) * 4.0
+    for model in SAFETY_MODELS:
+        values = connection_field(pts, model, np.empty((0, 3)))
+        assert values.shape == (0,) and values.dtype == float
 
 
 def _read_only(values):
