@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: mass | pfc | simulate | field | validate.  Each command
-declares its parameters once, in a table (`_PARAMS`); a run resolves them
-(config file first, flags win), can echo them to a manifest JSON sufficient
-to reproduce the run bit-for-bit via --config, and emits CSV or JSON tables.
-Exit codes: 0 success, 2 usage error, 3 capability error, 4
+declares its parameters once, in a table (`_PARAMS`); `main` resolves them
+(config file first, flags win), runs the command, which emits CSV or JSON
+tables, and can echo them to a manifest JSON that replays it bit for bit
+via --config.  Exit codes: 0 success, 2 usage error, 3 capability error, 4
 validation/convergence failure.
 """
 
@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__, connmass, geometry, mc_sim, pfc_analytic, validation
 from .errors import CapabilityError, ConvergenceError, DomainError, InvalidPrismError
@@ -119,27 +120,28 @@ def _parse_grid(spec) -> list[float]:
 
 class Param(NamedTuple):
     """A command parameter: `kind` reads flag and config values (see `_cast`), a bool is
-    a store_true flag, and only a parameter whose default is None may be None."""
+    a store_true flag, and only a None default allows None, which a `required` one refuses."""
 
     flags: tuple[str, ...]
     kind: Callable
     default: object = None
     help: str | None = None
+    required: bool = False
 
 
 _BETA = Param(("--beta",), float, 1.0, "path-loss scale beta")
-_SEED = Param(("--seed",), int, None, "random seed, a non-negative integer")
+_SEED = Param(("--seed",), int, None, "random seed, a non-negative integer", True)
 _SPEC = "start:stop:step, a comma list or one value"
 _PRISM = {
     "prism": Param(("--prism",), str, "house", "house | cube | path to a prism JSON file"),
     "length": Param(("--L",), float, 7.0, "scale length of a house or cube preset"),
     "beta": _BETA,
     "eta": Param(("--eta",), float, 2.0, "path-loss exponent eta"),
-    "rho": Param(("--rho",), _parse_grid, None, f"node densities: {_SPEC}"),
+    "rho": Param(("--rho",), _parse_grid, None, f"node densities: {_SPEC}", True),
 }
 _PARAMS = {
     "mass": {
-        "model": Param(("--model",), str, None, "siso | simo | mimo"),
+        "model": Param(("--model",), str, None, "siso | simo | mimo", True),
         "k": Param(("--m", "--n"), _parse_int_spec, "2..8", "diversity orders: 1..64, 2,4,8, ..."),
         "d": Param(("--d",), int, 3, "spatial dimension (1, 2, or 3)"),
         "eta": Param(("--eta",), _parse_grid, "2", f"path-loss exponents: {_SPEC}"),
@@ -157,7 +159,7 @@ _PARAMS = {
         **_PRISM,
         "prism": _PRISM["prism"]._replace(default=None),
         "length": _PRISM["length"]._replace(default=None),
-        "rho": Param(("--rho",), float, None, "node density (one value)"),
+        "rho": Param(("--rho",), float, None, "node density (one value)", True),
         "model": Param(("--model",), str, "siso", "siso | simo | mimo | unitdisk"),
         "k": Param(("--m", "--n"), int, 2, "diversity order for simo/mimo"),
         "radius": Param(("--radius",), float, 1.0, "unit-disk connection radius"),
@@ -211,11 +213,17 @@ def _write_manifest(args, params: dict) -> None:
     path = args.manifest or (args.output and f"{args.output}.manifest.json")
     if not path:
         return
-    payload = {"command": args.command, "package_version": __version__, "parameters": params}
+    payload = {
+        "command": args.command,
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "parameters": params,
+    }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolve(args, required: tuple[str, ...] = ()) -> dict:
+def _resolve(args) -> dict:
     """Each parameter: its flag, else its config value, else its default, read by its type."""
     table = _PARAMS[args.command]
     config = {}
@@ -239,7 +247,7 @@ def _resolve(args, required: tuple[str, ...] = ()) -> dict:
             value = config.get(key, param.default)
         unset = value is None and param.default is None
         params[key] = None if unset else _cast(param.kind, value, key)
-    missing = [k for k in required if params[k] is None]
+    missing = [k for k, param in table.items() if param.required and params[k] is None]
     if missing:
         raise DomainError(f"missing required parameters: {', '.join(sorted(missing))}")
     return params
@@ -273,9 +281,8 @@ def _expansion_link(pl: PathLossParams) -> Mimo:
     return Mimo(2, 2, pl)
 
 
-def cmd_mass(args) -> int:
+def cmd_mass(args, params: dict) -> int:
     """Homogeneous connectivity mass sweeps."""
-    params = _resolve(args, required=("model",))
     kind, d, beta = params["model"], params["d"], params["beta"]
     if kind not in ("siso", "simo", "mimo"):
         raise DomainError(f"mass supports models siso|simo|mimo, got {kind!r}")
@@ -298,13 +305,11 @@ def cmd_mass(args) -> int:
                  quad.est_abs_error, leading, closed / leading - 1.0]
             )
     _write_output(args, header, rows)
-    _write_manifest(args, params)
     return EXIT_OK
 
 
-def cmd_pfc(args) -> int:
+def cmd_pfc(args, params: dict) -> int:
     """Analytic connectivity probability curves."""
-    params = _resolve(args, required=("rho",))
     prism = _build_prism(params)
     model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
     header = [
@@ -326,13 +331,11 @@ def cmd_pfc(args) -> int:
         args, header, rows,
         extra={"feature_table": [c.row() for c in breakdowns[0].contributions]},
     )
-    _write_manifest(args, params)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, params: dict) -> int:
     """Monte Carlo estimates across a density grid."""
-    params = _resolve(args, required=("rho", "seed"))
     prism = _build_prism(params)
     model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
     breakdowns = pfc_analytic.assemble(prism, model, params["rho"])
@@ -351,7 +354,6 @@ def cmd_simulate(args) -> int:
              est.ci_low, est.ci_high, est.mean_isolated, breakdown.p_fc]
         )
     _write_output(args, header, rows)
-    _write_manifest(args, params)
     return EXIT_OK
 
 
@@ -404,9 +406,8 @@ def _write_field_csv(out, header: list[str], axes, slabs) -> None:
         ]))
 
 
-def cmd_field(args) -> int:
+def cmd_field(args, params: dict) -> int:
     """Connection-probability field of one realization."""
-    params = _resolve(args, required=("rho", "seed"))
     side, rho, grid_n = params["square"], params["rho"], params["grid"]
     if (side is None) == (params["prism"] is None):
         raise DomainError("field requires exactly one of --square or --prism")
@@ -455,19 +456,16 @@ def cmd_field(args) -> int:
     else:
         with _opened(args) as out:
             _write_field_csv(out, header, axes, slabs)
-    _write_manifest(args, params)
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, params: dict) -> int:
     """Run the numerical self-check suite."""
-    params = _resolve(args)
     names = [tok for tok in params["check"].split(",") if tok] if params["check"] else None
     results = validation.run_checks(names, perturb=params["perturb"])
     header = ["check", "status", "detail"]
     rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results]
     _write_output(args, header, rows)
-    _write_manifest(args, params)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
@@ -503,7 +501,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        params = _resolve(args)
+        code = args.func(args, params)
+        _write_manifest(args, params)  # a failed validation is recorded too
+        return code
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

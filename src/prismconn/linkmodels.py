@@ -11,7 +11,8 @@ wrappers over it, and each checks its distances in one pass
 Every model also owns the closed forms of H's radial moments,
 `moment(d)` = integral_0^inf r^(d-1) H(r) dr: the homogeneous mass M' is
 `moment(params.dim)`, and the boundary expansion's J and I0 are `moment(2)`
-and `moment(1)`.  The MIMO connectedness is also available in two further
+and `moment(1)`; its regime flag reads `inverse_length()`, one over the
+length H scales with.  The MIMO connectedness is also available in two further
 algebraically equivalent forms so the three can be cross-checked.
 """
 
@@ -117,6 +118,9 @@ class SimoMiso:
         """(m / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
         return (self.m / self.params.beta) ** (1.0 / self.params.eta)
 
+    def inverse_length(self) -> tuple[float, str]:
+        return _fading_inverse_length(self.params)
+
     H_WORK = 1  # H itself
 
     def h(self, r, work=None):
@@ -161,6 +165,9 @@ class Mimo:
     def step_radius(self) -> float:
         """(n / beta)^(1/eta): where H drops like a step, the mass integral's breakpoint."""
         return (self.n / self.params.beta) ** (1.0 / self.params.eta)
+
+    def inverse_length(self) -> tuple[float, str]:
+        return _fading_inverse_length(self.params)
 
     H_WORK = 4  # H itself, A, u and one spare
 
@@ -223,6 +230,10 @@ class UnitDisk:
         """The radius, where H jumps: the mass integral's breakpoint."""
         return self.radius
 
+    def inverse_length(self) -> tuple[float, str]:
+        """1/R and its spelling: beta sets only H at the radius, not the link's length."""
+        return 1.0 / self.radius, "1/R"
+
     H_WORK = 1  # H itself
 
     def h(self, r, work=None):
@@ -246,6 +257,13 @@ class UnitDisk:
 
 
 ConnectionModel = Union[SimoMiso, Mimo, UnitDisk]
+
+
+def _fading_inverse_length(params: PathLossParams) -> tuple[float, str]:
+    """beta^(1/eta) and its spelling: a fading link's H is a function of beta^(1/eta) r."""
+    if params.eta == 2.0:
+        return math.sqrt(params.beta), "sqrt(beta)"
+    return params.beta ** (1.0 / params.eta), f"beta^(1/{params.eta:g})"
 
 
 def _beta_scale(params: PathLossParams, d: int, name: str) -> float:

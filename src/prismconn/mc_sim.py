@@ -52,7 +52,9 @@ _EXACT_MAX_NODES = 12
 # 257 nodes a chunk holds one resample and a block one word, and a call
 # peaks at about 66 bytes per pair (2.2 MB at 258 nodes): the n x n index
 # table, adjacency words and masked adjacency (16 each; the uniforms share
-# the last one's buffer), H and the block's words (8 each).
+# the last one's buffer), H and the block's words (8 each).  By `ru_maxrss`
+# a call of 600 to 1500 nodes peaked 73 bytes per pair, within a trial's
+# `_BYTES_PER_PAIR`, so it takes at most `_MAX_NODES` nodes too.
 _RESAMPLE_UNIFORMS = 1 << 16
 # The most (S, T) entries the exact oracle tabulates at once.  Only levels
 # from 11 nodes up are split; at 12 nodes a call peaks at 1.4 MB, where one
@@ -388,14 +390,14 @@ def run_trials(config: McConfig) -> McEstimate:
         ok, isolated = _trial(config, t, table)
         connected += ok
         isolated_total += isolated
-    low, high = wilson_interval(connected, config.trials)
-    return McEstimate(
-        connected / config.trials,
-        config.trials,
-        low,
-        high,
-        isolated_total / config.trials,
-    )
+    return _estimate(connected, config.trials, isolated_total)
+
+
+def _estimate(connected: int, trials: int, isolated_total: int) -> McEstimate:
+    """The estimate of `trials` draws, `connected` of them connected, with
+    `isolated_total` isolated nodes among them."""
+    low, high = wilson_interval(connected, trials)
+    return McEstimate(connected / trials, trials, low, high, isolated_total / trials)
 
 
 def exact_connectivity_probability(points, model: ConnectionModel) -> float:
@@ -536,6 +538,11 @@ def edge_resampling_estimate(
     n = len(pts)
     if n < 2:
         raise DomainError(f"edge resampling needs at least 2 nodes, got {n}")
+    if n > _MAX_NODES:
+        raise DomainError(
+            f"edge resampling takes at most {_MAX_NODES} nodes, whose pair tables fit "
+            f"in {_PAIR_TABLE_BYTES // 10**6} MB at {_BYTES_PER_PAIR} bytes per pair; got {n}"
+        )
     resamples = check_integer(resamples, "resamples", 1)
     rng = np.random.default_rng(check_seed(seed))
     h = pair_connectedness_many(model, pdist(pts))
@@ -586,10 +593,7 @@ def edge_resampling_estimate(
         connected += ok
         isolated_total += size * n - linked_nodes
         done += size
-    low, high = wilson_interval(connected, resamples)
-    return McEstimate(
-        connected / resamples, resamples, low, high, isolated_total / resamples
-    )
+    return _estimate(connected, resamples, isolated_total)
 
 
 def connection_field(points, model: ConnectionModel, grid_points) -> np.ndarray:

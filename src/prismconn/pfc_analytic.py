@@ -36,7 +36,7 @@ __all__ = [
     "feature_contribution",
 ]
 
-_MIN_SCALE = 5.0  # derivations assume sqrt(beta) * feature length >> 1
+_MIN_SCALE = 5.0  # derivations assume feature length >> the link's length
 
 _CLASS_NAMES = {3: "corners", 2: "edges", 1: "faces", 0: "bulk"}
 
@@ -151,14 +151,14 @@ def assemble(prism: RightPrism, model: ConnectionModel, rho_grid) -> list[PfcBre
             raise DomainError(f"node density must be a positive finite real, got {rho}")
     constants = _link_constants(model)  # each moment once, not once per feature
     contributions = tuple(_contribution(f, *constants) for f in enumerate_features(prism))
-    # The regime flag keys on the characteristic scale; the stricter
-    # shortest-edge check only warns, since single marginal edges degrade
-    # their own term, not the whole expansion.
-    root_beta = math.sqrt(model.params.beta)
-    scale_ok = root_beta * prism.volume ** (1.0 / 3.0) >= _MIN_SCALE
-    if root_beta * prism.shortest_edge < _MIN_SCALE:
+    # The regime flag keys on the characteristic scale in the link's own
+    # length; the stricter shortest-edge check only warns, since single
+    # marginal edges degrade their own term, not the whole expansion.
+    inverse, spelled = model.inverse_length()
+    scale_ok = inverse * prism.volume ** (1.0 / 3.0) >= _MIN_SCALE
+    if inverse * prism.shortest_edge < _MIN_SCALE:
         warnings.warn(
-            f"sqrt(beta) * shortest edge = {root_beta * prism.shortest_edge:.3g} is small; "
+            f"{spelled} * shortest edge = {inverse * prism.shortest_edge:.3g} is small; "
             "the boundary expansion assumes it is large",
             stacklevel=2,
         )

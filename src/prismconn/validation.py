@@ -7,6 +7,7 @@ the exponent-rate check as a negative control.
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -120,7 +121,7 @@ def brute_force_connectivity_probability(h_matrix: np.ndarray) -> float | np.nda
     return float(totals[0]) if h.ndim == 2 else totals
 
 
-def _check_cross_form_h() -> CheckResult:
+def _check_cross_form_h() -> tuple[bool, str]:
     # The production H is the scipy-free Poisson closed form; the
     # determinant and gamma forms go through scipy's incomplete gammas.
     r = np.linspace(0.0, 5.0, 21)
@@ -133,9 +134,7 @@ def _check_cross_form_h() -> CheckResult:
                 b = pair_connectedness_mimo_det(2, n, params, r)
                 c = mimo_gamma_form(n, params, r)
                 worst = max(worst, float(np.abs(a - b).max()), float(np.abs(a - c).max()))
-    return CheckResult(
-        "cross-form-h", worst < 1e-10, f"max abs divergence {worst:.3e}"
-    )
+    return worst < 1e-10, f"max abs divergence {worst:.3e}"
 
 
 # One row per link family: its link of order k and the orders the mass oracle
@@ -146,7 +145,7 @@ _FAMILIES = (
 )
 
 
-def _check_mass_oracle() -> CheckResult:
+def _check_mass_oracle() -> tuple[bool, str]:
     worst = 0.0
     for d in (1, 2, 3):
         for eta in (2.0, 3.0, 4.0):
@@ -157,12 +156,10 @@ def _check_mass_oracle() -> CheckResult:
                     closed = model.moment(d)
                     quad = connmass.mass_quadrature(model).value
                     worst = max(worst, abs(closed - quad) / quad)
-    return CheckResult(
-        "mass-oracle", worst < 1e-6, f"max relative gap {worst:.3e}"
-    )
+    return worst < 1e-6, f"max relative gap {worst:.3e}"
 
 
-def _check_exponent_rates(perturb: bool = False) -> CheckResult:
+def _check_exponent_rates(perturb: bool = False) -> tuple[bool, str]:
     model = Mimo(2, 2, PathLossParams(1.0, 2.0, 3))
     mass = connmass.mass_quadrature(model).value
     worst = 0.0
@@ -171,12 +168,10 @@ def _check_exponent_rates(perturb: bool = False) -> CheckResult:
         if perturb:
             rate *= 1.001
         worst = max(worst, abs(rate / (feature.solid_angle * mass) - 1.0))
-    return CheckResult(
-        "exponent-rates", worst < 1e-9, f"max relative gap {worst:.3e}"
-    )
+    return worst < 1e-9, f"max relative gap {worst:.3e}"
 
 
-def _check_scaling_slopes() -> CheckResult:
+def _check_scaling_slopes() -> tuple[bool, str]:
     params = PathLossParams(1.0, 2.0, 3)
     ks = [4, 8, 16, 32, 64]
     slopes = {
@@ -193,10 +188,10 @@ def _check_scaling_slopes() -> CheckResult:
         expected = d / eta - 0.5
         details.append(f"eps(d={d},eta={eta:g}) {slope:.3f}")
         ok = ok and abs(slope - expected) < 0.2
-    return CheckResult("scaling-slopes", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def _check_union_find() -> CheckResult:
+def _check_union_find() -> tuple[bool, str]:
     rng = np.random.default_rng(20240117)
     for _ in range(500):
         n = int(rng.integers(2, 65))
@@ -207,13 +202,11 @@ def _check_union_find() -> CheckResult:
         connected, count = mc_sim.connectivity_check(n, edges)
         ref = bfs_component_count(n, edges)
         if count != ref or connected != (ref == 1):
-            return CheckResult(
-                "union-find", False, f"mismatch on n={n} with {len(edges)} edges"
-            )
-    return CheckResult("union-find", True, "500 random graphs agree with BFS")
+            return False, f"mismatch on n={n} with {len(edges)} edges"
+    return True, "500 random graphs agree with BFS"
 
 
-def _check_exact_oracle() -> CheckResult:
+def _check_exact_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(8811)
     prism = house_prism(3.0)
     model = Mimo(2, 2, PathLossParams(0.3, 2.0, 3))
@@ -235,12 +228,10 @@ def _check_exact_oracle() -> CheckResult:
         exact = mc_sim._subset_recursion(np.array(q_stacks[n]))
         brute = brute_force_connectivity_probability(np.array(hs))
         worst = max(worst, float(np.abs(exact - brute).max()))
-    return CheckResult(
-        "exact-oracle", worst < 1e-12, f"max abs divergence {worst:.3e}"
-    )
+    return worst < 1e-12, f"max abs divergence {worst:.3e}"
 
 
-_CHECKS: dict[str, Callable[..., CheckResult]] = {
+_CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
     "cross-form-h": _check_cross_form_h,
     "mass-oracle": _check_mass_oracle,
     "exponent-rates": _check_exponent_rates,
@@ -263,8 +254,6 @@ def run_checks(
     results = []
     for name in selected:
         check = _CHECKS[name]
-        if name == "exponent-rates":
-            results.append(check(perturb=perturb))
-        else:
-            results.append(check())
+        controlled = "perturb" in inspect.signature(check).parameters
+        results.append(CheckResult(name, *(check(perturb=perturb) if controlled else check())))
     return results

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -864,6 +865,23 @@ def test_default_manifest_alongside_output(tmp_path):
     manifest = tmp_path / "mass.csv.manifest.json"
     assert manifest.exists()
     assert json.loads(manifest.read_text())["command"] == "mass"
+
+
+def test_manifest_records_numpy_and_scipy_versions(tmp_path):
+    manifest = tmp_path / "p.manifest.json"
+    rc = run_cli(
+        ["validate", "--check", "exponent-rates", "--perturb",
+         "--output", str(tmp_path / "p.csv"), "--manifest", str(manifest)]
+    )
+    assert rc == 4  # a failed validation is recorded too
+    payload = json.loads(manifest.read_text())
+    assert payload == {
+        "command": "validate",
+        "package_version": prismconn.__version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "parameters": {"check": "exponent-rates", "perturb": True},
+    }
 
 
 def test_validate_subset_and_exit_codes(tmp_path):

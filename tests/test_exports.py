@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import prismconn
-from prismconn import linkmodels
+from prismconn import cli, linkmodels
 
 SRC = Path(prismconn.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -135,10 +135,11 @@ def test_specfun_imports_nothing_from_scipy():
 
 @pytest.mark.parametrize("model", typing.get_args(linkmodels.ConnectionModel))
 def test_every_link_model_answers_the_protocol(model):
-    # `assemble` reads `moment`, `mass_quadrature` `h` and `step_radius`, and
-    # `McConfig` `h` through `support_radius`; the field and the blocked H
-    # size their workspace by `H_WORK`; each model defines all four
-    names = ("h", "H_WORK", "moment", "step_radius")
+    # `assemble` reads `moment` and `inverse_length`, `mass_quadrature` `h`
+    # and `step_radius`, and `McConfig` `h` through `support_radius`; the
+    # field and the blocked H size their workspace by `H_WORK`; each model
+    # defines all five
+    names = ("h", "H_WORK", "inverse_length", "moment", "step_radius")
     assert [name for name in names if name not in vars(model)] == []
 
 
@@ -153,3 +154,62 @@ def test_only_linkmodels_and_cli_raise_capability_errors():
         and "CapabilityError" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
     }
     assert raising - {"linkmodels.py", "cli.py"} == set()
+
+
+def _functions(tree: ast.Module, prefix: str) -> dict[str, ast.FunctionDef]:
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
+    }
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The top-level functions of the tree that call `name`."""
+    return sorted(
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            for node in ast.walk(top)
+        )
+    )
+
+
+def test_only_main_resolves_a_commands_parameters_and_writes_its_manifest():
+    tree = _trees(SRC)["cli.py"]
+    assert _callers(tree, "_resolve") == ["main"]
+    assert _callers(tree, "_write_manifest") == ["main"]
+
+
+def test_every_command_takes_its_arguments_and_resolved_parameters():
+    commands = _functions(_trees(SRC)["cli.py"], "cmd_")
+    assert sorted(commands) == sorted(f"cmd_{name}" for name in cli._PARAMS)
+    for name, node in commands.items():
+        assert [arg.arg for arg in node.args.args] == ["args", "params"], name
+
+
+def test_no_check_builds_its_own_result():
+    # `run_checks` names each result by the check's key in `_CHECKS`
+    checks = _functions(_trees(SRC)["validation.py"], "_check_")
+    assert checks
+    assert [
+        name
+        for name, node in checks.items()
+        if "CheckResult" in {getattr(n, "id", None) for n in ast.walk(node)}
+    ] == []
+
+
+def test_every_required_parameter_defaults_to_none():
+    required = [
+        (command, key, param.default)
+        for command, table in cli._PARAMS.items()
+        for key, param in table.items()
+        if param.required
+    ]
+    assert {(command, key) for command, key, _ in required} == {
+        ("mass", "model"), ("pfc", "rho"), ("simulate", "rho"), ("simulate", "seed"),
+        ("field", "rho"), ("field", "seed"),
+    }
+    assert [default for *_, default in required] == [None] * len(required)

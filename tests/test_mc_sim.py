@@ -911,6 +911,27 @@ def test_edge_resampling_validation():
         )
 
 
+def test_edge_resampling_refuses_a_pair_table_past_the_budget(monkeypatch):
+    # 1645 nodes would take about 100 MB of pair tables; the refusal comes
+    # before `pdist`, so neither node count here allocates one.
+    class Reached(Exception):
+        pass
+
+    calls = []
+
+    def spy_pdist(pts):
+        calls.append(len(pts))
+        raise Reached
+
+    monkeypatch.setattr(mc_sim, "pdist", spy_pdist)
+    with pytest.raises(Reached):
+        edge_resampling_estimate(np.zeros((_MAX_NODES, 3)), Siso(P3), 10, 1)
+    assert calls == [_MAX_NODES]
+    with pytest.raises(DomainError, match=rf"at most {_MAX_NODES} nodes.*100 MB.*got 1645"):
+        edge_resampling_estimate(np.zeros((_MAX_NODES + 1, 3)), Siso(P3), 10, 1)
+    assert calls == [_MAX_NODES]
+
+
 @pytest.mark.parametrize("count", [2.5, True, "3"])
 def test_counts_must_be_integers(count):
     pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]

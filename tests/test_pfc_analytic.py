@@ -241,6 +241,35 @@ def test_out_of_regime_flags():
     assert any("shortest edge" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize(
+    "model, side, rho, warning",
+    [
+        # beta^(1/4) = 2 against sqrt(beta) = 4: 4 < 5 <= 8 on a cube of side 2
+        (SimoMiso(4, PathLossParams(16.0, 4.0, 3)), 2.0, 500.0, "beta^(1/4) * shortest edge = 4"),
+        # beta^(1/4) = 0.5 against sqrt(beta) = 0.25: 3 < 5 <= 6 on side 12
+        (SimoMiso(4, PathLossParams(1 / 16, 4.0, 3)), 12.0, 10.0, None),
+        # 1/R = 1 against sqrt(beta) = 10: 2 < 5 <= 20 on side 2
+        (UnitDisk(1.0, PathLossParams(100.0, 2.0, 3)), 2.0, 50.0, "1/R * shortest edge = 2"),
+        # 1/R = 4 against sqrt(beta) = 1: 2 < 5 <= 8 on side 2
+        (UnitDisk(0.25, PathLossParams(1.0, 2.0, 3)), 2.0, 1e4, None),
+        (Mimo(2, 2, PathLossParams(4.0, 2.0, 3)), 2.0, 50.0, "sqrt(beta) * shortest edge = 4"),
+    ],
+    ids=["simo4-eta4-out", "simo4-eta4-in", "unitdisk-out", "unitdisk-in", "mimo-eta2-out"],
+)
+def test_regime_flag_uses_the_links_own_length(model, side, rho, warning):
+    # On a cube the characteristic length and the shortest edge are both the
+    # side, so the link's own length flags and warns together.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        breakdown = assemble(cube_prism(side), model, [rho])[0]
+    assert breakdown.p_fc > 0.999
+    assert breakdown.in_regime is (warning is None)
+    messages = [str(w.message) for w in caught]
+    assert messages == ([] if warning is None else [
+        f"{warning} is small; the boundary expansion assumes it is large"
+    ])
+
+
 def test_domain_errors():
     # the expansion is three-dimensional; which path loss `pfc` takes is the
     # CLI's to decide (tests/test_cli.py)
