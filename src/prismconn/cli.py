@@ -271,14 +271,16 @@ def _link_model(kind: str, k: int, radius: float, pl: PathLossParams):
     return Mimo(2, k, pl) if kind == "mimo" else SimoMiso(1 if kind == "siso" else k, pl)
 
 
-def _expansion_link(pl: PathLossParams) -> Mimo:
-    """The link `pfc` and `simulate` take: the 2x2 MIMO link, at eta = 2 only."""
+def _expansion(params: dict):
+    """`pfc`'s and `simulate`'s prism, 2x2 MIMO link (eta = 2 only) and expansion."""
+    prism, pl = _build_prism(params), PathLossParams(params["beta"], params["eta"], 3)
     if pl.eta != 2.0:
         raise CapabilityError(
             "the per-feature expansion is validated for eta = 2 in three dimensions "
             f"only, got eta={pl.eta}, dim={pl.dim}"
         )
-    return Mimo(2, 2, pl)
+    model = Mimo(2, 2, pl)
+    return prism, model, pfc_analytic.assemble(prism, model, params["rho"])
 
 
 def cmd_mass(args, params: dict) -> int:
@@ -310,14 +312,12 @@ def cmd_mass(args, params: dict) -> int:
 
 def cmd_pfc(args, params: dict) -> int:
     """Analytic connectivity probability curves."""
-    prism = _build_prism(params)
-    model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
+    _, _, breakdowns = _expansion(params)
     header = [
         "rho", "p_fc", "p_out", "in_regime",
         "p_fc_bulk", "p_fc_bulk_faces", "p_fc_bulk_faces_edges",
         "term_corners", "term_edges", "term_faces", "term_bulk",
     ]
-    breakdowns = pfc_analytic.assemble(prism, model, params["rho"])
     rows = []
     for b in breakdowns:
         terms = b.class_terms
@@ -336,9 +336,7 @@ def cmd_pfc(args, params: dict) -> int:
 
 def cmd_simulate(args, params: dict) -> int:
     """Monte Carlo estimates across a density grid."""
-    prism = _build_prism(params)
-    model = _expansion_link(PathLossParams(params["beta"], params["eta"], 3))
-    breakdowns = pfc_analytic.assemble(prism, model, params["rho"])
+    prism, model, breakdowns = _expansion(params)
     header = [
         "rho", "n_nodes", "trials", "p_fc_hat", "ci_low", "ci_high",
         "mean_isolated", "p_fc_analytic",
@@ -514,7 +512,3 @@ def main(argv=None) -> int:
     except (ConvergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

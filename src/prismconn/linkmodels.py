@@ -286,6 +286,8 @@ def _beta_scale(params: PathLossParams, d: int, name: str) -> float:
 def _finite_mass(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"{name}: M' is not a finite double ({value})")
+    if value == 0.0:
+        raise OverflowError(f"{name}: M' underflows to 0, so it is no positive double")
     return value
 
 
@@ -399,23 +401,27 @@ def _below_floor(model: ConnectionModel, r: float) -> bool:
 
 
 def _support_bound(model: ConnectionModel) -> float:
-    """The first power of two, counting up from 1, at which H is below the floor.
+    """The power of two at which H is below the floor and at half of which it is not.
 
-    A distance whose beta * r^eta overflows counts as below it.  A model whose
-    H stays above the floor at every finite double raises ConvergenceError.
+    Doubled from 1 while H there is above the floor, else halved from 1 while
+    H at the half is below too and the half is not 0.0; no distance is read
+    twice.  A distance whose beta * r^eta overflows counts as below; a model
+    whose H stays above the floor at every finite double raises ConvergenceError.
     """
     hi = 1.0
     while not _below_floor(model, hi):
         hi *= 2.0
         if hi == math.inf:
             raise ConvergenceError(f"H of {model} is above {_LINK_PROB_FLOOR} at every distance")
+    while hi <= 1.0 and (half := 0.5 * hi) > 0.0 and _below_floor(model, half):
+        hi = half
     return hi
 
 
 def support_radius(model: ConnectionModel) -> float:
     """Distance beyond which H is below the link-probability floor.
 
-    Bisected on the scalar H inside `_support_bound`'s power of two down to
+    Bisected on the scalar H inside `_support_bound`'s octave down to
     adjacent doubles, so it holds for any model whose H is non-increasing in
     r; the Monte Carlo cutoff needs it to the last bit.  A model whose H
     stays above the floor at every finite double raises ConvergenceError;
@@ -424,7 +430,7 @@ def support_radius(model: ConnectionModel) -> float:
     its true value.
     """
     hi = _support_bound(model)
-    lo = 0.5 * hi if hi > 1.0 else 0.0  # `_support_bound` read H above the floor at hi / 2
+    lo = 0.5 * hi  # `_support_bound` read H above the floor there, or it is 0.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent doubles
         if _below_floor(model, mid):
             hi = mid
@@ -438,9 +444,9 @@ def support_radius(model: ConnectionModel) -> float:
 def _upper_limit(model: ConnectionModel) -> float:
     """Where the mass integrals stop: past it H is below the link-probability floor.
 
-    `_support_bound`'s power of two, a few scalar H calls where `support_radius`
-    bisects on with about 50 more; `support_radius` itself where beta * r^eta
-    overflows at that bound, which refuses the model or stops short of it.
+    `_support_bound`'s power of two, under twice the support radius on either
+    side of 1; `support_radius` itself where beta * r^eta overflows at that
+    bound, which refuses the model or stops short of it.
     """
     bound = _support_bound(model)
     return support_radius(model) if _r_eta_overflows(model, bound) else bound

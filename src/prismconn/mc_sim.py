@@ -420,8 +420,6 @@ def exact_connectivity_probability(points, model: ConnectionModel) -> float:
         raise DomainError(
             f"exact oracle supports at most {_EXACT_MAX_NODES} nodes, got {n}"
         )
-    if n == 1:
-        return 1.0
     return float(_subset_recursion(_miss_matrix(pts, model)[None])[0])
 
 

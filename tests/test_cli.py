@@ -334,6 +334,27 @@ def test_closed_mass_overflow_is_a_numerical_failure(model, m, beta, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "argv, cause",
+    [(["--model", "simo", "--m", "1", "--d", "3", "--eta", "2", "--beta", "2e205"],
+      "SimoMiso.moment"),
+     (["--model", "mimo", "--m", "2", "--d", "2", "--eta", "2", "--beta", "1.7e308"],
+      "Mimo.moment"),
+     (["--model", "mimo", "--m", "2", "--d", "3", "--eta", "2", "--beta", "2e205"],
+      "mass_scaling_leading")],
+    ids=["simo", "mimo", "leading"],
+)
+def test_closed_mass_that_underflows_to_zero_is_a_numerical_failure(argv, cause, tmp_path,
+                                                                    capsys):
+    # d beta^(d/eta) is a double but beta^(d/eta) is not, so M' reads 0
+    out = tmp_path / "mass.csv"
+    assert run_cli(["mass", *argv, "--output", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"numerical failure: {cause}: M' underflows to 0, so it is no positive double\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [["pfc"], ["simulate", "--trials", "1", "--seed", "1"]],
     ids=["pfc", "simulate"],

@@ -147,6 +147,43 @@ def test_closed_vs_quadrature_grid():
                     assert abs(closed - quad) <= max(1e-9, 1e-6 * closed)
 
 
+@pytest.mark.parametrize("beta", [1e-200, 1.0, 1e8, 1e100, 1e200])
+def test_quadrature_matches_the_closed_mass_for_every_support(beta):
+    # supports from about 1e100 down to 1e-100: below 1 the quadrature's
+    # panels must still span the link's profile, not [step radius, 1]
+    for eta in (2.0, 4.0):
+        for d in (1, 3):
+            p = PathLossParams(beta, eta, d)
+            for model in (SimoMiso(1, p), SimoMiso(8, p), Mimo(2, 2, p), Mimo(2, 9, p),
+                          UnitDisk(beta ** (-1.0 / eta), p)):
+                closed = model.moment(d)
+                assert abs(mass_quadrature(model).value - closed) <= 1e-6 * closed, model
+
+
+def test_step_error_rebuilds_the_mass_of_a_support_below_one():
+    # the support radius is about 6.4e-5, so the step's far side lies below 1
+    p = PathLossParams(1e10, 2.0, 3)
+    eps_minus, eps_plus = step_error(4, p)
+    rebuilt = mass_scaling_leading(4, p) + eps_minus + eps_plus
+    assert rebuilt / Mimo(2, 4, p).moment(3) == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [
+        lambda: SimoMiso(1, PathLossParams(2e205, 2.0, 3)).moment(3),
+        lambda: Mimo(2, 9, PathLossParams(1.7e308, 2.0, 2)).moment(2),
+        lambda: mass_scaling_leading(2, PathLossParams(2e205, 2.0, 3)),
+        lambda: UnitDisk(1e-170, PathLossParams(1.0, 2.0, 3)).moment(2),
+    ],
+    ids=["simo1", "mimo9", "leading", "unitdisk"],
+)
+def test_closed_mass_that_underflows_to_zero_is_an_overflow_error(mass):
+    # d beta^(d/eta) is a double but beta^(d/eta) is not, or R^d / d underflows
+    with pytest.raises(OverflowError, match=r"M' underflows to 0, so it is no positive double$"):
+        mass()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
 def test_mimo_closed_mass_at_the_highest_orders(d, eta):

@@ -183,6 +183,27 @@ def test_only_main_resolves_a_commands_parameters_and_writes_its_manifest():
     assert _callers(tree, "_write_manifest") == ["main"]
 
 
+def test_pfc_and_simulate_build_their_expansion_in_one_place():
+    tree = _trees(SRC)["cli.py"]
+    assert _callers(tree, "_expansion") == ["cmd_pfc", "cmd_simulate"]
+    assert [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(getattr(node, "attr", None) == "assemble" for node in ast.walk(top))
+    ] == ["_expansion"]
+
+
+def test_only_the_package_main_runs_as_a_script():
+    # the entries are `python -m prismconn` and the `prismconn` script
+    assert [
+        name
+        for name, tree in _trees(SRC).items()
+        if any(isinstance(top, ast.If) and "__main__" in ast.unparse(top.test)
+               for top in tree.body)
+    ] == ["__main__.py"]
+
+
 def test_every_command_takes_its_arguments_and_resolved_parameters():
     commands = _functions(_trees(SRC)["cli.py"], "cmd_")
     assert sorted(commands) == sorted(f"cmd_{name}" for name in cli._PARAMS)

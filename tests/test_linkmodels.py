@@ -466,12 +466,14 @@ def test_support_radius_reads_no_distance_twice(model, monkeypatch):
 
 
 def test_support_bound_is_the_first_power_of_two_below_the_floor():
+    # within one octave of the support radius, on either side of 1
     for model in (SimoMiso(57, PathLossParams(0.05, 2.0, 3)), Siso(P3), Mimo(2, 2, P3),
-                  UnitDisk(1.2, P3), UnitDisk(1e300, P3)):
+                  UnitDisk(1.2, P3), UnitDisk(1e300, P3),
+                  Siso(PathLossParams(1e10, 2.0, 3)), UnitDisk(0.3, P3)):
         bound = _support_bound(model)
-        assert math.frexp(bound)[0] == 0.5 and bound >= 1.0
+        assert math.frexp(bound)[0] == 0.5
         assert pair_connectedness(model, bound) < 1e-12
-        assert bound == 1.0 or pair_connectedness(model, bound / 2.0) >= 1e-12
+        assert pair_connectedness(model, bound / 2.0) >= 1e-12
         assert bound / 2.0 < support_radius(model) <= bound
 
 

@@ -110,6 +110,12 @@ def test_mass_that_is_no_finite_double_overflows():
     assert assemble(cube_prism(L), Mimo(2, 2, PathLossParams(1e-205, 2.0, 3)), [1.0])[0].p_fc == 1.0
 
 
+def test_unit_disk_whose_moment_underflows_overflows():
+    # R^2 / 2 is 0 at R = 1e-170: refused by name, not divided by
+    with pytest.raises(OverflowError, match="^UnitDisk.moment: M' underflows to 0"):
+        assemble(cube_prism(2.0), UnitDisk(1e-170, PathLossParams(1.0, 2.0, 3)), [1.0])
+
+
 def test_a_term_that_is_no_finite_double_names_its_class():
     cube_corners = BoundaryFeature(3, 1.0, PI / 2, 8, PI / 2)
     # g^3 and the corner factor are doubles at 1e103, 8 G / rho^2 is not
